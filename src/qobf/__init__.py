@@ -38,6 +38,7 @@ from .obfuscate import (
 from .qasm import ParseError, SourceVersion, detect_version, emit_qasm2, parse, zyz_to_u3
 from .jsonio import read_json, write_json
 from .simulate import Counts, Statevector, apply_unitary, probabilities, run
+from .bench import generate
 from .metrics import ComparisonReport, OverheadReport, overhead, semantic_accuracy, timed_compare, tvd
 from .security import SecurityReport, audit_circuit, blackbox_guess_probability, whitebox_profile
 

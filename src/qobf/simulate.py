@@ -1,8 +1,15 @@
 """Deterministic noise-free statevector simulation with shot sampling.
 
-Measurement-terminal circuits take a fast path (exact distribution plus one
-multinomial draw); circuits with mid-circuit measurements or resets are
-evaluated exactly by per-segment branching, or per-shot collapse in ``run``.
+One walker serves both entry points. It follows the circuit's branches
+depth-first from an explicit stack: each measurement or reset before the
+terminal ``Measure``/``Barrier`` suffix splits a branch into its two outcomes,
+and at the suffix each branch folds its joint terminal distribution into the
+result. ``probabilities`` weights branches by probability (exact mode);
+``run`` weights them by shot count, splitting each count binomially at every
+split and drawing the terminal outcomes multinomially (sampling mode). The IR
+has no classical control, so both modes see the same branch distribution. At
+most one pending state per split level is alive at a time, whatever the shot
+count.
 """
 from __future__ import annotations
 
@@ -74,19 +81,6 @@ def apply_unitary(s: Statevector, m: np.ndarray, qubits) -> Statevector:
     return Statevector(s.num_qubits, out)
 
 
-def _bitstring(clbits: dict[int, int], num_clbits: int) -> str:
-    return "".join(
-        "1" if clbits.get(b, 0) else "0" for b in range(num_clbits - 1, -1, -1)
-    )
-
-
-def _measure_probs(state: np.ndarray, qubit: int) -> tuple[float, np.ndarray]:
-    idx = np.arange(state.shape[0])
-    mask = ((idx >> qubit) & 1).astype(bool)
-    p1 = float(np.sum(np.abs(state[mask]) ** 2))
-    return p1, mask
-
-
 def _check_caps(c: Circuit, max_qubits: int):
     if c.num_qubits > max_qubits:
         raise SimulationCapError(
@@ -94,34 +88,132 @@ def _check_caps(c: Circuit, max_qubits: int):
         )
 
 
-def _is_terminal_suffix(instructions, i: int) -> bool:
-    return all(isinstance(x, (Measure, Barrier)) for x in instructions[i:])
+def _terminal_start(instructions) -> int:
+    """Index where the all-``Measure``/``Barrier`` suffix begins."""
+    t = len(instructions)
+    while t and isinstance(instructions[t - 1], (Measure, Barrier)):
+        t -= 1
+    return t
 
 
-def _accumulate_terminal(result, state, prob, clbits, measures, num_qubits, num_clbits):
-    """Fold a branch's joint terminal-measurement distribution into result."""
-    if not measures:
-        result[_bitstring(clbits, num_clbits)] = (
-            result.get(_bitstring(clbits, num_clbits), 0.0) + prob
-        )
-        return
-    p = (np.abs(state) ** 2).reshape((2,) * num_qubits)
-    qubits = {mv.qubit for mv in measures}
-    other_axes = tuple(
-        num_qubits - 1 - q for q in range(num_qubits) if q not in qubits
+def _bitstring(bits: int, num_clbits: int) -> str:
+    return format(bits, f"0{num_clbits}b") if num_clbits else ""
+
+
+def _terminal_fold(measures, num_qubits: int, num_clbits: int):
+    """Fold of one branch's terminal measurements into (bitstring, weight) pairs.
+
+    The returned function takes the branch's state, its mid-circuit clbits as
+    an integer, its weight and the sampler. In exact mode (``rng`` is None) the
+    weight is the branch probability and the outcome weights are
+    probabilities; in sampling mode it is the branch's shot count and the
+    outcome weights are multinomial draws.
+    """
+    last = {mv.clbit: mv.qubit for mv in measures}  # a later measure overwrites
+    if not last:
+        return lambda state, base, weight, rng: [(_bitstring(base, num_clbits), weight)]
+    # Qubits whose measurement survives, ranked by the highest clbit each
+    # writes: with the joint distribution's axes in descending rank, its flat
+    # index (the rank) sorts like the bitstrings.
+    top = {q: cb for cb, q in sorted(last.items())}
+    ranked = sorted(top, key=top.get)
+    other_axes = tuple(num_qubits - 1 - q for q in range(num_qubits) if q not in top)
+    descending = sorted(top, reverse=True)  # axis order left by the sum
+    axes = [descending.index(q) for q in reversed(ranked)]
+    # clbit mask of each rank bit, to spread a rank onto the clbits
+    masks = np.array(
+        [sum(1 << cb for cb, x in last.items() if x == q) for q in ranked],
+        dtype=np.int64 if num_clbits < 64 else object,
     )
-    joint = p.sum(axis=other_axes) if other_axes else p
-    # surviving axes keep descending-qubit order
-    ordered = sorted(qubits, reverse=True)
-    for bits, pr in np.ndenumerate(joint):
-        if pr * prob <= _PRUNE:
+    bits = np.arange(len(ranked))
+    untouched = ~sum(1 << cb for cb in last)  # clbits no terminal measure writes
+
+    def fold(state, base, weight, rng):
+        p = (np.abs(state) ** 2).reshape((2,) * num_qubits)
+        joint = p.sum(axis=other_axes) if other_axes else p
+        values = joint.transpose(axes).ravel() * (weight if rng is None else 1.0)
+        keys = np.flatnonzero(values > (_PRUNE if rng is None else _CLIP))
+        out = values[keys]
+        if rng is not None:
+            draws = rng.multinomial(weight, out / out.sum())
+            hit = np.flatnonzero(draws)
+            keys, out = keys[hit], draws[hit]
+        codes = ((keys[:, None] >> bits) & 1) @ masks
+        base &= untouched
+        return [
+            (_bitstring(code | base, num_clbits), w)
+            for code, w in zip(codes.tolist(), out.tolist())
+        ]
+
+    return fold
+
+
+def _walk(c: Circuit, weight, rng=None, branch_cap: int = DEFAULT_BRANCH_CAP) -> dict:
+    """Branch walker shared by ``probabilities`` (exact) and ``run`` (sampling).
+
+    ``weight`` is 1.0 in exact mode and the shot count in sampling mode, which
+    ``rng`` selects. ``branch_cap`` binds in exact mode only.
+    """
+    c.validate()
+    n = c.num_qubits
+    instructions = c.instructions
+    t = _terminal_start(instructions)
+    fold = _terminal_fold(
+        [x for x in instructions[t:] if isinstance(x, Measure)], n, c.num_clbits
+    )
+    matrices = [
+        instruction_matrix(x) if isinstance(x, (StandardGate, OpaqueUnitary)) else None
+        for x in instructions[:t]
+    ]
+    idx = np.arange(2 ** n)
+    created = [0] * t  # exact mode: branches created per split instruction
+    result: dict = {}
+    state = np.zeros(2 ** n, dtype=np.complex128)
+    state[0] = 1.0
+    stack = [(state, weight, 0, 0)]
+    while stack:
+        state, weight, base, i = stack.pop()
+        while i < t and not isinstance(instructions[i], (Measure, Reset)):
+            if matrices[i] is not None:
+                state = apply_to_tensor(matrices[i], instructions[i].qubits, state, n)
+            i += 1
+        if i == t:
+            for key, w in fold(state, base, weight, rng):
+                result[key] = result.get(key, 0) + w
             continue
-        assign = dict(clbits)
-        values = dict(zip(ordered, bits))
-        for mv in measures:
-            assign[mv.clbit] = values[mv.qubit]
-        key = _bitstring(assign, num_clbits)
-        result[key] = result.get(key, 0.0) + prob * float(pr)
+        # a Measure or Reset: split the branch into its two outcomes
+        instr = instructions[i]
+        i += 1
+        mask = ((idx >> instr.qubit) & 1).astype(bool)
+        p1 = float(np.sum(np.abs(state[mask]) ** 2))
+        p0 = 1.0 - p1
+        if rng is None:
+            w0, w1 = (w if w > _PRUNE else 0 for w in (weight * p0, weight * p1))
+            created[i - 1] += bool(w0) + bool(w1)
+            if created[i - 1] > branch_cap:
+                raise SimulationCapError(
+                    f"branch count {created[i - 1]} exceeds cap {branch_cap}"
+                )
+        else:
+            w1 = int(rng.binomial(weight, min(p1, 1.0)))
+            w0 = weight - w1
+        measured = isinstance(instr, Measure)
+        if measured:
+            base &= ~(1 << instr.clbit)
+        # push outcome 1 first so that outcome 0 is walked first
+        if w1:
+            s1 = np.zeros_like(state)
+            if measured:
+                s1[mask] = state[mask]
+            else:  # Reset: the |1> part moves to |0>
+                s1[~mask] = state[mask]
+            s1 /= math.sqrt(p1)
+            stack.append((s1, w1, base | (1 << instr.clbit) if measured else base, i))
+        if w0:
+            state[mask] = 0.0
+            state /= math.sqrt(p0)
+            stack.append((state, w0, base, i))
+    return result
 
 
 def probabilities(
@@ -131,76 +223,11 @@ def probabilities(
 ) -> dict[str, float]:
     """Exact outcome distribution over classical bits."""
     _check_caps(c, max_qubits)
-    c.validate()
-    n = c.num_qubits
-    state = np.zeros(2 ** n, dtype=np.complex128)
-    state[0] = 1.0
-    branches: list[tuple[np.ndarray, float, dict[int, int]]] = [(state, 1.0, {})]
-    result: dict[str, float] = {}
-    instructions = list(c.instructions)
-
-    for i, instr in enumerate(instructions):
-        if _is_terminal_suffix(instructions, i):
-            measures = [x for x in instructions[i:] if isinstance(x, Measure)]
-            for st, prob, clbits in branches:
-                _accumulate_terminal(result, st, prob, clbits, measures, n, c.num_clbits)
-            branches = []
-            break
-        if isinstance(instr, Barrier):
-            continue
-        if isinstance(instr, (StandardGate, OpaqueUnitary)):
-            m = instruction_matrix(instr)
-            branches = [
-                (apply_to_tensor(m, instr.qubits, st, n), prob, clbits)
-                for st, prob, clbits in branches
-            ]
-            continue
-        nxt: list[tuple[np.ndarray, float, dict[int, int]]] = []
-        for st, prob, clbits in branches:
-            p1, mask = _measure_probs(st, instr.qubit)
-            p0 = 1.0 - p1
-            if isinstance(instr, Measure):
-                if p0 * prob > _PRUNE:
-                    s0 = st.copy()
-                    s0[mask] = 0.0
-                    nxt.append((s0 / math.sqrt(p0), prob * p0, {**clbits, instr.clbit: 0}))
-                if p1 * prob > _PRUNE:
-                    s1 = st.copy()
-                    s1[~mask] = 0.0
-                    nxt.append((s1 / math.sqrt(p1), prob * p1, {**clbits, instr.clbit: 1}))
-            else:  # Reset: project, then force the qubit to |0>
-                if p0 * prob > _PRUNE:
-                    s0 = st.copy()
-                    s0[mask] = 0.0
-                    nxt.append((s0 / math.sqrt(p0), prob * p0, clbits))
-                if p1 * prob > _PRUNE:
-                    s1 = np.zeros_like(st)
-                    s1[~mask] = st[mask]
-                    nxt.append((s1 / math.sqrt(p1), prob * p1, clbits))
-        branches = nxt
-        if len(branches) > branch_cap:
-            raise SimulationCapError(
-                f"branch count {len(branches)} exceeds cap {branch_cap}"
-            )
-    for st, prob, clbits in branches:
-        key = _bitstring(clbits, c.num_clbits)
-        result[key] = result.get(key, 0.0) + prob
+    result = _walk(c, 1.0, branch_cap=branch_cap)
     total = sum(result.values())
     if abs(total - 1.0) > 1e-10:
         raise RuntimeError(f"probabilities sum to {total}, not 1")
     return result
-
-
-def _has_fast_path(c: Circuit) -> bool:
-    seen_measure = False
-    for instr in c.instructions:
-        if isinstance(instr, Reset):
-            return False
-        if isinstance(instr, Measure):
-            seen_measure = True
-        elif isinstance(instr, (StandardGate, OpaqueUnitary)) and seen_measure:
-            return False
-    return True
 
 
 def run(
@@ -213,44 +240,4 @@ def run(
     if shots < 1:
         raise ValueError("shots must be >= 1")
     _check_caps(c, max_qubits)
-    rng = np.random.default_rng(seed)
-    if _has_fast_path(c):
-        probs = probabilities(c, max_qubits=max_qubits)
-        items = sorted((k, v) for k, v in probs.items() if v > _CLIP)
-        keys = [k for k, _ in items]
-        p = np.array([v for _, v in items])
-        p /= p.sum()
-        draws = rng.multinomial(shots, p)
-        counts = {k: int(d) for k, d in zip(keys, draws) if d > 0}
-        return Counts(counts, shots)
-    # trajectory path: per-shot collapse
-    n = c.num_qubits
-    counts: dict[str, int] = {}
-    for _ in range(shots):
-        state = np.zeros(2 ** n, dtype=np.complex128)
-        state[0] = 1.0
-        clbits: dict[int, int] = {}
-        for instr in c.instructions:
-            if isinstance(instr, Barrier):
-                continue
-            if isinstance(instr, (StandardGate, OpaqueUnitary)):
-                state = apply_to_tensor(instruction_matrix(instr), instr.qubits, state, n)
-                continue
-            p1, mask = _measure_probs(state, instr.qubit)
-            outcome = 1 if rng.random() < p1 else 0
-            if outcome:
-                nxt = np.zeros_like(state)
-                if isinstance(instr, Reset):
-                    nxt[~mask] = state[mask]
-                else:
-                    nxt[mask] = state[mask]
-                state = nxt / math.sqrt(p1)
-            else:
-                state = state.copy()
-                state[mask] = 0.0
-                state /= math.sqrt(1.0 - p1)
-            if isinstance(instr, Measure):
-                clbits[instr.clbit] = outcome
-        key = _bitstring(clbits, c.num_clbits)
-        counts[key] = counts.get(key, 0) + 1
-    return Counts(counts, shots)
+    return Counts(_walk(c, shots, np.random.default_rng(seed)), shots)

@@ -1,10 +1,16 @@
 """Tests for the statevector simulator and shot sampler."""
+import hashlib
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qobf.bench import PAPER_SUITE, generate
 from qobf.circuit import Circuit, Measure, Reset, StandardGate
+from qobf.obfuscate import ObfuscationMode, obfuscate
 from qobf.simulate import (
     Counts,
     SimulationCapError,
@@ -68,6 +74,31 @@ class TestProbabilities:
         c = Circuit(2, 2, (StandardGate("x", (), (0,)), Measure(0, 0), Measure(1, 1)))
         assert probabilities(c) == pytest.approx({"01": 1.0})
 
+    def test_terminal_clbits_permuted_and_overwritten(self):
+        # q0 -> c1 and q1 -> c0 swap the bit order; q2's clbit is overwritten
+        # by q1, so q2 does not show in the key.
+        c = Circuit(
+            3,
+            2,
+            (
+                StandardGate("x", (), (1,)),
+                StandardGate("h", (), (2,)),
+                StandardGate("ry", (0.8,), (0,)),
+                Measure(0, 1),
+                Measure(2, 0),
+                Measure(1, 0),
+            ),
+        )
+        p1 = np.sin(0.4) ** 2
+        assert probabilities(c) == pytest.approx({"01": 1 - p1, "11": p1})
+        assert set(run(c, 256, seed=0).counts) == {"01", "11"}
+
+    def test_clbits_beyond_64_bits(self):
+        c = Circuit(2, 70, (StandardGate("x", (), (0,)), Measure(1, 3), Measure(0, 69)))
+        key = "1" + "0" * 69
+        assert probabilities(c) == {key: 1.0}
+        assert run(c, 8, seed=0).counts == {key: 8}
+
     def test_unmeasured_qubits_ignored(self):
         c = Circuit(2, 1, (StandardGate("h", (), (1,)), StandardGate("x", (), (0,)), Measure(0, 0)))
         assert probabilities(c) == pytest.approx({"1": 1.0})
@@ -121,30 +152,113 @@ class TestRun:
         b = run(bell(), 2048, seed=7)
         assert a == b
 
+    def test_counts_pinned_on_measurement_terminal_circuits(self):
+        # Every paper-suite row x {global, chained}, obfuscated with seed 3 and
+        # sampled at 1024 shots with seeds 0-4. The digest was taken before the
+        # simulator core was rewritten; per-seed counts of measurement-terminal
+        # circuits must not change.
+        rows = []
+        for spec in PAPER_SUITE:
+            original = generate(spec.name, **spec.params)
+            for mode in (ObfuscationMode.GLOBAL, ObfuscationMode.CHAINED):
+                obf = obfuscate(original, mode, seed=3)
+                for seed in range(5):
+                    counts = run(obf.circuit, 1024, seed=seed).counts
+                    rows.append([spec.name, mode.value, seed, counts])
+        digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+        assert digest == "3b47e2999c2703d44e698c72f6af2cde508dfa387545472a2803d3ef0dbeeacf"
+
     def test_seed_sensitivity(self):
         a = run(bell(), 2048, seed=7)
         b = run(bell(), 2048, seed=8)
         assert a.counts != b.counts
 
-    def test_trajectory_path_matches_fast_path(self):
-        # A mid-circuit measurement forces the per-shot trajectory sampler;
-        # its frequencies must agree with the exact branch distribution.
-        c = Circuit(
-            1,
-            2,
-            (
-                StandardGate("h", (), (0,)),
-                Measure(0, 0),
-                StandardGate("x", (), (0,)),
-                Measure(0, 1),
+    @pytest.mark.parametrize(
+        "c",
+        [
+            # measure, then act on the collapsed qubit
+            Circuit(
+                1,
+                2,
+                (
+                    StandardGate("h", (), (0,)),
+                    Measure(0, 0),
+                    StandardGate("x", (), (0,)),
+                    Measure(0, 1),
+                ),
             ),
-        )
+            # reset of a superposition, then a fresh superposition
+            Circuit(
+                2,
+                2,
+                (
+                    StandardGate("h", (), (0,)),
+                    StandardGate("ry", (1.1,), (1,)),
+                    Reset(0),
+                    StandardGate("h", (), (0,)),
+                    StandardGate("cx", (), (0, 1)),
+                    Measure(0, 0),
+                    Measure(1, 1),
+                ),
+            ),
+            # two branching levels with uneven weights
+            Circuit(
+                2,
+                4,
+                (
+                    StandardGate("ry", (0.7,), (0,)),
+                    StandardGate("h", (), (1,)),
+                    Measure(0, 0),
+                    StandardGate("cx", (), (0, 1)),
+                    Measure(1, 1),
+                    StandardGate("ry", (2.0,), (0,)),
+                    StandardGate("cx", (), (1, 0)),
+                    Measure(0, 2),
+                    Measure(1, 3),
+                ),
+            ),
+        ],
+        ids=["measure-then-x", "reset-superposition", "two-levels"],
+    )
+    def test_mid_circuit_counts_match_exact_probabilities(self, c):
+        # Sampling splits shot counts at every mid-circuit measure or reset;
+        # the frequencies must agree with the exact branch distribution.
         counts = run(c, 20000, seed=1)
         freq = {k: v / 20000 for k, v in counts.counts.items()}
         exact = probabilities(c)
         assert set(freq) <= set(exact)
         for k, p in exact.items():
             assert freq.get(k, 0.0) == pytest.approx(p, abs=0.02)
+
+    def test_branch_cap_binds_only_in_exact_mode(self):
+        # 2**13 exact branches exceed the default cap; 64 shots never make
+        # more than 64 sampled branches.
+        instrs = []
+        for i in range(13):
+            instrs += [StandardGate("h", (), (0,)), Measure(0, i)]
+        c = Circuit(1, 13, (*instrs, StandardGate("x", (), (0,))))
+        counts = run(c, 64, seed=0)
+        assert counts.shots == 64 and sum(counts.counts.values()) == 64
+        with pytest.raises(SimulationCapError):
+            probabilities(c)
+
+    def test_sampling_memory_independent_of_shots(self):
+        # 10 mid-circuit measurements of fresh superpositions: up to 1024
+        # sampled branches, but only one pending state per split level.
+        n = 10
+        instrs = []
+        for q in range(n):
+            instrs += [StandardGate("h", (), (q,)), Measure(q, q), StandardGate("x", (), (q,))]
+        instrs += [Measure(q, n + q) for q in range(n)]
+        c = Circuit(n, 2 * n, tuple(instrs))
+        tracemalloc.start()
+        try:
+            counts = run(c, 1024, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(counts.counts.values()) == 1024
+        assert peak < 4 * 2 ** 20
 
     @given(st.integers(0, 2 ** 16))
     @settings(max_examples=20, deadline=None)
