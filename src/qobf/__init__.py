@@ -21,7 +21,6 @@ from .linalg import (
     adjoint,
     equal_up_to_global_phase,
     kron,
-    matmul,
     u3_inverse_params,
     u3_matrix,
 )
@@ -37,7 +36,7 @@ from .obfuscate import (
 )
 from .qasm import ParseError, SourceVersion, detect_version, emit_qasm2, parse, zyz_to_u3
 from .jsonio import read_json, write_json
-from .simulate import Counts, Statevector, apply_unitary, probabilities, run
+from .simulate import Counts, probabilities, run
 from .bench import generate
 from .metrics import ComparisonReport, OverheadReport, overhead, semantic_accuracy, timed_compare, tvd
 from .security import SecurityReport, audit_circuit, blackbox_guess_probability, whitebox_profile

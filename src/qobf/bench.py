@@ -9,15 +9,17 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
-from .circuit import Circuit, Measure, StandardGate
+from .circuit import Circuit, Measure, StandardGate, gate_count
 from .jsonio import write_json
 from .linalg import U3Params
 from .metrics import ComparisonReport, OverheadReport, overhead, timed_compare
 from .obfuscate import ObfuscatedCircuit, ObfuscationMode, obfuscate, write_key_json
-from .simulate import probabilities
+from .simulate import probabilities, run
 
 QAOA_EDGES = ((0, 1), (1, 2), (1, 3), (3, 4), (2, 4))
 QAOA_GAMMA = 0.865
@@ -335,7 +337,6 @@ def run_paper_suite(
             row_seed = seed * 1000003 + 101 * i + k
             subset = None
             if mode is ObfuscationMode.SUBSET:
-                from .circuit import gate_count
                 subset = gate_count(original) // 2
             obf = obfuscate(original, mode, seed=row_seed, subset_size=subset)
             report = timed_compare(original, obf.circuit, shots, runs, seed=row_seed)
@@ -364,8 +365,6 @@ class CaseStudyResult:
 
 def paper_case_study(shots: int = 1024, runs: int = 100, seed: int = 0) -> CaseStudyResult:
     """Global-mode QAOA obfuscation with the fixed key (2.86, 2.33, 0.762)."""
-    from .simulate import run as sim_run
-
     original = qaoa_maxcut()
     obf = obfuscate(
         original, ObfuscationMode.GLOBAL, seed=seed, global_params=CASE_STUDY_KEY
@@ -375,16 +374,13 @@ def paper_case_study(shots: int = 1024, runs: int = 100, seed: int = 0) -> CaseS
     keys = set(p_orig) | set(p_obf)
     max_err = max(abs(p_orig.get(k, 0.0) - p_obf.get(k, 0.0)) for k in keys)
     report = timed_compare(original, obf.circuit, shots, runs, seed=seed)
-    c_orig = sim_run(original, shots, seed=seed)
-    c_obf = sim_run(obf.circuit, shots, seed=seed + 1)
+    c_orig = run(original, shots, seed=seed)
+    c_obf = run(obf.circuit, shots, seed=seed + 1)
     return CaseStudyResult(report, obf, c_orig.counts, c_obf.counts, max_err)
 
 
 def write_case_study_artifacts(result: CaseStudyResult, out_dir) -> dict[str, str]:
     """Emit obfuscated circuit JSON, key JSON, histogram CSVs, report JSON."""
-    import json
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {}

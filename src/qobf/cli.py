@@ -12,24 +12,19 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bench import (
-    PAPER_SUITE,
-    counts_to_csv,
-    paper_case_study,
-    run_paper_suite,
-    write_case_study_artifacts,
-)
+from .bench import paper_case_study, run_paper_suite, write_case_study_artifacts
 from .circuit import Circuit, CircuitError, gate_count
 from .jsonio import SchemaError, counts_to_json, read_json, write_json
 from .metrics import MetricsError, overhead, timed_compare
 from .obfuscate import (
+    ObfuscatedCircuit,
     ObfuscationError,
     ObfuscationMode,
     obfuscate,
     read_key_json,
     write_key_json,
 )
-from .qasm import ParseError, emit_qasm2, parse
+from .qasm import ParseError, parse
 from .security import audit_circuit, whitebox_profile
 from .simulate import DEFAULT_MAX_QUBITS, SimulationCapError, run
 
@@ -178,31 +173,34 @@ def cmd_analyze(args) -> int:
     circuit = load_circuit(getattr(args, "in"))
     if args.key:
         key = read_key_json(_read_text(args.key))
-        from .obfuscate import ObfuscatedCircuit
-
         security = audit_circuit(ObfuscatedCircuit(circuit, key))
-        m, n = key.num_gates, key.num_qubits
+        m, n, mode = key.num_gates, key.num_qubits, key.mode
+        overhead = {"m": m, "n": n, "gate_count": gate_count(circuit)}
     else:
-        m, n = gate_count(circuit), circuit.num_qubits
+        m, n, mode = gate_count(circuit), circuit.num_qubits, None
         security = whitebox_profile(m, m // 2) if m else None
-    overhead = {
-        "m": m,
-        "n": n,
-        "pre_fusion_count": 3 * m + 2 * n,
-        "final_count": m + 2 * n,
-        "depth_delta": 2,
-    }
+        overhead = {"m": m, "n": n}
+    # The closed forms hold for global/chained on single-segment circuits.
+    if mode is not ObfuscationMode.SUBSET:
+        overhead["projection"] = {"pre_fusion_count": 3 * m + 2 * n, "final_count": m + 2 * n}
     if args.json:
         doc = {"overhead": overhead}
         if security is not None:
             doc["security"] = security.to_dict()
         print(json.dumps(doc, indent=2))
         return EXIT_OK
-    if not args.key:
-        print(f"unobfuscated input: projecting overhead for m={m}, n={n}")
+    if args.key:
+        print(f"{mode.value} artifact: {overhead['gate_count']} gates for m={m}, n={n}")
+    else:
+        print(f"unobfuscated input: m={m}, n={n}")
     if security is not None:
         _print_security(security, False)
-    print(f"overhead projection: pre-fusion {3 * m + 2 * n}, final {m + 2 * n}, depth +2")
+    if "projection" in overhead:
+        proj = overhead["projection"]
+        print(
+            f"global/chained projection: pre-fusion {proj['pre_fusion_count']}, "
+            f"final {proj['final_count']}"
+        )
     return EXIT_OK
 
 
@@ -261,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--max-qubits", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1, help="reserved; timing runs stay sequential")
 
     p = sub.add_parser("obfuscate", help="rewrite a circuit into an obfuscated form")
     common(p)

@@ -58,12 +58,6 @@ def u3_inverse_params(p: U3Params) -> U3Params:
     return U3Params(-p.theta, -p.lam, -p.phi)
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[1] != b.shape[0]:
-        raise LinalgError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
@@ -75,13 +69,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"{a.shape} x {b.shape}"
         )
     return np.kron(a, b)
-
-
-def kron_power(a: np.ndarray, k: int) -> np.ndarray:
-    out = np.eye(1, dtype=np.complex128)
-    for _ in range(k):
-        out = kron(out, a)
-    return out
 
 
 def kron_slots(mats) -> np.ndarray:

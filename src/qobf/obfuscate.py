@@ -1,17 +1,24 @@
-"""Randomized U3 basis conjugation passes.
+"""Randomized U3 basis conjugation: one schedule, three window kinds.
 
-Three modes:
-  - global: one sampled basis per unitary segment; boundary layers on every
-    wire, every gate fused into one opaque conjugated block;
-  - chained: a fresh basis per gate with per-wire basis chaining, so the
-    inserted operators telescope back to the original segment operator;
-  - subset: a hidden subset of gate positions is sandwiched between visible
-    per-wire basis gates and their inverses.
+Every mode rewrites the circuit through the same loop. A *window* opens with
+a visible basis layer ``Basis_*`` (one U3 per wire of the window), turns each
+gate G inside it into the opaque block L.G.R, where L holds the gate wires'
+next bases and R the inverses of their current ones, and closes with the
+inverse layer ``InvBasis_*`` of the last bases. The inserted operators
+telescope, so the circuit operator is exactly preserved. The modes differ
+only in their windows and in where the next bases come from:
 
-Orientation: the boundary prologue applies B and the epilogue B-dagger, and
-every gate G becomes B.G.B-dagger on its own wires; with B chosen as the
-adjoint of the sampled rotation, each block carries the literal conjugation
-U-dagger.G.U while the whole circuit operator is exactly preserved.
+  - global: a window is a gate-bearing unitary segment on every wire, opened
+    with the adjoint of one sampled (or pinned) rotation U; every next basis
+    is that same adjoint, so each block is the literal conjugation U-dagger.G.U;
+  - chained: a window is a gate-bearing unitary segment on every wire, opened
+    with fresh per-wire draws; every gate draws a fresh next basis per wire;
+  - subset: a window is one protected gate on its own wires, opened with fresh
+    draws; the next bases are the current ones. Unprotected gates pass
+    through unchanged.
+
+Measurements and resets end a segment; a gate-free segment (e.g. the tail
+after terminal measurements) gets no window unless it is the whole circuit.
 """
 from __future__ import annotations
 
@@ -19,16 +26,14 @@ import enum
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .circuit import (
     Barrier,
     Circuit,
-    GATE_SIGNATURES,
-    Measure,
     OpaqueUnitary,
-    Reset,
     StandardGate,
     gate_count,
     instruction_matrix,
@@ -125,6 +130,20 @@ def conjugate_gate(g: np.ndarray, left_bases, right_bases) -> np.ndarray:
     return kron_slots(left_bases) @ g @ kron_slots(right_bases)
 
 
+class _Basis(NamedTuple):
+    """One basis of a window with its inverse, each built once."""
+
+    params: U3Params
+    matrix: np.ndarray
+    inv: U3Params
+    inv_matrix: np.ndarray
+
+
+def _basis(p: U3Params) -> _Basis:
+    q = p.inverse()
+    return _Basis(p, u3_matrix(p), q, u3_matrix(q))
+
+
 def _display_name(instr) -> str:
     if isinstance(instr, OpaqueUnitary):
         return instr.label
@@ -156,119 +175,78 @@ def obfuscate(
         if subset_size is not None:
             raise ObfuscationError("subset_size only valid in subset mode")
         protected = None
+    hidden = set(protected or ())
 
-    view = segment(c)
     out: list = []
     blocks: list[BlockRecord] = []
     boundaries: list[BoundaryRecord] = []
     seg_params: list[U3Params] = []
-    gate_idx = 0
+    cur: dict[int, _Basis] = {}  # current basis per wire of the open window
 
-    for si, (start, end) in enumerate(view.segments):
-        body = c.instructions[start:end]
-        has_gate = any(isinstance(i, (StandardGate, OpaqueUnitary)) for i in body)
-        if (
-            mode is not ObfuscationMode.SUBSET
-            and not has_gate
-            and len(view.segments) > 1
-        ):
-            # No basis layers around a gate-free segment (e.g. the tail after
-            # terminal measurements) -- they would inflate the gate count
-            # without hiding anything.
-            out.extend(body)
-            if si < len(view.boundaries):
-                out.append(c.instructions[view.boundaries[si]])
-            continue
+    def open_window(tag: str, si: int, wires):
         if mode is ObfuscationMode.GLOBAL:
             p = global_params if global_params is not None else sample_basis(rng)
             seg_params.append(p)
-            u = u3_matrix(p)
-            ud = u3_matrix(p.inverse())
-            for w in range(c.num_qubits):
-                label = f"Basis_s{si}_q{w}"
-                out.append(OpaqueUnitary(label, (w,), ud))
-                boundaries.append(BoundaryRecord(label, si, w, p.inverse(), "basis"))
-            for instr in body:
-                if isinstance(instr, Barrier):
-                    out.append(instr)
-                    continue
-                k = len(instr.qubits)
-                block = conjugate_gate(instruction_matrix(instr), [ud] * k, [u] * k)
-                label = f"Obf_{_display_name(instr)}_{gate_idx}"
-                out.append(OpaqueUnitary(label, instr.qubits, block))
-                blocks.append(
-                    BlockRecord(
-                        label, gate_idx, _display_name(instr), instr.qubits,
-                        (p.inverse(),) * k, (p,) * k,
-                    )
-                )
-                gate_idx += 1
-            for w in range(c.num_qubits):
-                label = f"InvBasis_s{si}_q{w}"
-                out.append(OpaqueUnitary(label, (w,), u))
-                boundaries.append(BoundaryRecord(label, si, w, p, "inv_basis"))
-        elif mode is ObfuscationMode.CHAINED:
-            cur = {w: sample_basis(rng) for w in range(c.num_qubits)}
-            for w in range(c.num_qubits):
-                label = f"Basis_s{si}_q{w}"
-                out.append(OpaqueUnitary(label, (w,), u3_matrix(cur[w])))
-                boundaries.append(BoundaryRecord(label, si, w, cur[w], "basis"))
-            for instr in body:
-                if isinstance(instr, Barrier):
-                    out.append(instr)
-                    continue
-                fresh = {w: sample_basis(rng) for w in instr.qubits}
-                left = tuple(fresh[w] for w in instr.qubits)
-                right = tuple(cur[w].inverse() for w in instr.qubits)
-                block = conjugate_gate(
-                    instruction_matrix(instr),
-                    [u3_matrix(t) for t in left],
-                    [u3_matrix(t) for t in right],
-                )
-                label = f"Obf_{_display_name(instr)}_{gate_idx}"
-                out.append(OpaqueUnitary(label, instr.qubits, block))
-                blocks.append(
-                    BlockRecord(label, gate_idx, _display_name(instr), instr.qubits, left, right)
-                )
-                cur.update(fresh)
-                gate_idx += 1
-            for w in range(c.num_qubits):
-                label = f"InvBasis_s{si}_q{w}"
-                out.append(OpaqueUnitary(label, (w,), u3_matrix(cur[w].inverse())))
-                boundaries.append(BoundaryRecord(label, si, w, cur[w].inverse(), "inv_basis"))
-        else:  # SUBSET
-            for instr in body:
-                if isinstance(instr, Barrier):
-                    out.append(instr)
-                    continue
-                if gate_idx not in protected:
-                    out.append(instr)
-                    gate_idx += 1
-                    continue
-                samples = {w: sample_basis(rng) for w in instr.qubits}
-                for w in instr.qubits:
-                    label = f"Basis_g{gate_idx}_q{w}"
-                    out.append(OpaqueUnitary(label, (w,), u3_matrix(samples[w])))
-                    boundaries.append(BoundaryRecord(label, si, w, samples[w], "basis"))
-                left = tuple(samples[w] for w in instr.qubits)
-                right = tuple(samples[w].inverse() for w in instr.qubits)
-                block = conjugate_gate(
-                    instruction_matrix(instr),
-                    [u3_matrix(t) for t in left],
-                    [u3_matrix(t) for t in right],
-                )
-                label = f"Obf_{_display_name(instr)}_{gate_idx}"
-                out.append(OpaqueUnitary(label, instr.qubits, block))
-                blocks.append(
-                    BlockRecord(label, gate_idx, _display_name(instr), instr.qubits, left, right)
-                )
-                for w in instr.qubits:
-                    label = f"InvBasis_g{gate_idx}_q{w}"
-                    out.append(OpaqueUnitary(label, (w,), u3_matrix(samples[w].inverse())))
-                    boundaries.append(
-                        BoundaryRecord(label, si, w, samples[w].inverse(), "inv_basis")
-                    )
-                gate_idx += 1
+            cur.update(dict.fromkeys(wires, _basis(p.inverse())))
+        else:
+            cur.update((w, _basis(sample_basis(rng))) for w in wires)
+        for w, b in cur.items():
+            label = f"Basis_{tag}_q{w}"
+            out.append(OpaqueUnitary(label, (w,), b.matrix))
+            boundaries.append(BoundaryRecord(label, si, w, b.params, "basis"))
+
+    def close_window(tag: str, si: int):
+        for w, b in cur.items():
+            label = f"InvBasis_{tag}_q{w}"
+            out.append(OpaqueUnitary(label, (w,), b.inv_matrix))
+            boundaries.append(BoundaryRecord(label, si, w, b.inv, "inv_basis"))
+        cur.clear()
+
+    def conjugate(instr, gi: int):
+        prev = [cur[w] for w in instr.qubits]
+        if mode is ObfuscationMode.CHAINED:
+            nxt = [_basis(sample_basis(rng)) for _ in instr.qubits]
+        else:
+            nxt = prev
+        block = conjugate_gate(
+            instruction_matrix(instr), [b.matrix for b in nxt], [b.inv_matrix for b in prev]
+        )
+        name = _display_name(instr)
+        label = f"Obf_{name}_{gi}"
+        out.append(OpaqueUnitary(label, instr.qubits, block))
+        blocks.append(BlockRecord(
+            label, gi, name, instr.qubits,
+            tuple(b.params for b in nxt), tuple(b.inv for b in prev),
+        ))
+        cur.update(zip(instr.qubits, nxt))
+
+    view = segment(c)
+    gate_idx = 0
+    for si, (start, end) in enumerate(view.segments):
+        body = c.instructions[start:end]
+        # No window around a gate-free segment: its basis layers would
+        # inflate the gate count without hiding anything.
+        seg_window = protected is None and (
+            len(view.segments) == 1
+            or any(isinstance(i, (StandardGate, OpaqueUnitary)) for i in body)
+        )
+        if seg_window:
+            open_window(f"s{si}", si, range(c.num_qubits))
+        for instr in body:
+            if isinstance(instr, Barrier):
+                out.append(instr)
+                continue
+            if seg_window:
+                conjugate(instr, gate_idx)
+            elif gate_idx in hidden:  # subset: a window of its own per gate
+                open_window(f"g{gate_idx}", si, instr.qubits)
+                conjugate(instr, gate_idx)
+                close_window(f"g{gate_idx}", si)
+            else:
+                out.append(instr)
+            gate_idx += 1
+        if seg_window:
+            close_window(f"s{si}", si)
         if si < len(view.boundaries):
             out.append(c.instructions[view.boundaries[si]])
 

@@ -132,8 +132,6 @@ def _tokenize(text: str) -> list[_Token]:
 # ---------------------------------------------------------------------------
 # Parser
 
-_UNSUPPORTED_Q3 = {"if", "else", "for", "while", "def", "defcal", "gate_call"}
-
 _CONSTANTS = {"pi": math.pi}
 
 

@@ -27,7 +27,7 @@ from .circuit import (
     StandardGate,
     instruction_matrix,
 )
-from .linalg import apply_to_tensor, is_unitary
+from .linalg import apply_to_tensor
 
 DEFAULT_MAX_QUBITS = 14
 DEFAULT_BRANCH_CAP = 2 ** 12
@@ -41,16 +41,6 @@ class SimulationCapError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Statevector:
-    num_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if self.amplitudes.shape != (2 ** self.num_qubits,):
-            raise ValueError("amplitude vector length must be 2**num_qubits")
-
-
-@dataclass(frozen=True)
 class Counts:
     counts: dict[str, int]
     shots: int
@@ -58,27 +48,6 @@ class Counts:
     def __post_init__(self):
         if sum(self.counts.values()) != self.shots:
             raise ValueError("counts must sum to shots")
-
-
-def zero_state(num_qubits: int) -> Statevector:
-    amps = np.zeros(2 ** num_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    return Statevector(num_qubits, amps)
-
-
-def apply_unitary(s: Statevector, m: np.ndarray, qubits) -> Statevector:
-    qubits = list(qubits)
-    if len(set(qubits)) != len(qubits) or any(
-        not 0 <= q < s.num_qubits for q in qubits
-    ):
-        raise ValueError(f"invalid qubit list {qubits}")
-    if not is_unitary(m, tol=1e-9):
-        raise ValueError("operator is not unitary")
-    out = apply_to_tensor(m, qubits, s.amplitudes, s.num_qubits)
-    norm = float(np.linalg.norm(out))
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"norm not preserved: {norm}")
-    return Statevector(s.num_qubits, out)
 
 
 def _check_caps(c: Circuit, max_qubits: int):

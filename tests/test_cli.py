@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from qobf.circuit import gate_count
 from qobf.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -11,6 +12,7 @@ from qobf.cli import (
     EXIT_VALIDATION,
     main,
 )
+from qobf.jsonio import read_json
 
 BELL_QASM = """OPENQASM 2.0;
 include "qelib1.inc";
@@ -138,6 +140,25 @@ class TestAnalyze:
         assert rc == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert "security" in doc
+
+    def test_with_key_reports_measured_gate_count(self, tmp_path, capsys):
+        src = tmp_path / "c.qasm"
+        src.write_text(
+            'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\n'
+            "h q[0];\ncx q[0],q[1];\nccx q[0],q[1],q[2];\nx q[2];\nh q[1];\n"
+        )
+        obf, key = tmp_path / "obf.json", str(tmp_path / "key.json")
+        assert main([
+            "obfuscate", "--in", str(src), "--mode", "subset", "--subset-size", "3",
+            "--seed", "0", "--out", str(obf), "--key-out", key,
+        ]) == EXIT_OK
+        artifact = read_json(obf.read_text())
+        assert gate_count(artifact) != 5 + 2 * 3  # the m + 2n form does not apply
+        capsys.readouterr()  # drain the obfuscate summary
+        assert main(["analyze", "--in", str(obf), "--key", key, "--json"]) == EXIT_OK
+        overhead = json.loads(capsys.readouterr().out)["overhead"]
+        assert overhead["gate_count"] == gate_count(artifact)
+        assert "projection" not in overhead and "depth_delta" not in overhead
 
     def test_corrupted_json_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"

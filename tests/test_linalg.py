@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from qobf.linalg import (
     LinalgError,
+    MAX_KRON_DIM,
     TWO_PI,
     U3Params,
     adjoint,
@@ -13,9 +14,7 @@ from qobf.linalg import (
     equal_up_to_global_phase,
     is_unitary,
     kron,
-    kron_power,
     kron_slots,
-    matmul,
     max_abs_diff,
     u3_inverse_params,
     u3_matrix,
@@ -74,11 +73,6 @@ class TestU3Matrix:
 
 
 class TestMatrixOps:
-    def test_matmul_matches_numpy(self):
-        rng = np.random.default_rng(0)
-        a, b = random_unitary(rng, 4), random_unitary(rng, 4)
-        assert max_abs_diff(matmul(a, b), a @ b) == 0.0
-
     def test_adjoint(self):
         rng = np.random.default_rng(1)
         a = random_unitary(rng, 2)
@@ -89,15 +83,13 @@ class TestMatrixOps:
         a, b = random_unitary(rng, 2), random_unitary(rng, 4)
         assert max_abs_diff(kron(a, b), np.kron(a, b)) == 0.0
 
-    def test_kron_power(self):
-        rng = np.random.default_rng(3)
-        a = random_unitary(rng, 2)
-        assert max_abs_diff(kron_power(a, 3), np.kron(a, np.kron(a, a))) < 1e-14
-        assert max_abs_diff(kron_power(a, 0), np.eye(1)) == 0.0
-
     def test_kron_dimension_guard(self):
         with pytest.raises(LinalgError):
-            kron_power(np.eye(2), 20)
+            kron(np.eye(2 ** 6), np.eye(2 ** 7))
+        with pytest.raises(LinalgError):
+            kron_slots([np.eye(2 ** 6), np.eye(2 ** 7)])
+        at_cap = kron(np.ones((2, 1)), np.ones((MAX_KRON_DIM // 2, 1)))
+        assert at_cap.shape == (MAX_KRON_DIM, 1)
 
     def test_kron_slots_order(self):
         # Slot 0 is the least significant local bit: for [A, B] the lifted

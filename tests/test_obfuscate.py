@@ -1,16 +1,20 @@
 """Tests for obfuscation modes, keys, deobfuscation, and gate recognition."""
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qobf.bench import CASE_STUDY_KEY, PAPER_SUITE, generate, qaoa_maxcut
 from qobf.circuit import (
+    Barrier,
     Circuit,
     Measure,
     OpaqueUnitary,
+    Reset,
     StandardGate,
     gate_count,
-    instruction_matrix,
     standard_gate_matrix,
     strip_measurements,
     to_unitary,
@@ -21,6 +25,7 @@ from qobf.linalg import (
     max_abs_diff,
     u3_matrix,
 )
+from qobf.jsonio import write_json
 from qobf.obfuscate import (
     ObfuscationError,
     ObfuscationMode,
@@ -278,3 +283,59 @@ class TestGlobalParams:
         assert obf.key.segment_params[0] == pinned
         prologue = obf.circuit.instructions[0]
         assert max_abs_diff(prologue.matrix, u3_matrix(pinned.inverse())) < 1e-12
+
+    def test_boundary_matrices_built_from_their_own_params(self):
+        # p == p.inverse() in value here, but the two differ in signed zeros,
+        # and so do the zero entries of their matrices.
+        pinned = U3Params(0.0, 1.0, -1.0)
+        obf = obfuscate(bell(), ObfuscationMode.GLOBAL, seed=0, global_params=pinned)
+        layers = [i for i in obf.circuit.instructions if "Basis" in getattr(i, "label", "")]
+        for instr, p in zip(layers, [pinned.inverse()] * 2 + [pinned] * 2):
+            assert instr.matrix.tobytes() == u3_matrix(p).tobytes()
+
+
+
+def _h(q):
+    return StandardGate("h", (), (q,))
+
+
+def _cx(a, b):
+    return StandardGate("cx", (), (a, b))
+
+
+GOLDEN_INPUTS = [(s.name, generate(s.name, **s.params)) for s in PAPER_SUITE] + [
+    ("mid_measure_reset", Circuit(3, 3, (
+        _h(0), _cx(0, 1), Measure(1, 0), Reset(1), StandardGate("x", (), (1,)),
+        Barrier((0, 1, 2)), _cx(1, 2), Reset(0), _h(2), Measure(0, 1), Measure(2, 2),
+    ))),
+    ("barriers", Circuit(2, 2, (
+        Barrier(()), _h(0), Barrier((0, 1)), _cx(0, 1), Barrier((1,)),
+        Measure(0, 0), Measure(1, 1),
+    ))),
+    ("gate_free_tail", Circuit(2, 2, (
+        _h(0), _cx(0, 1), Measure(0, 0), Barrier((0, 1)), Measure(1, 1), Barrier((0,)),
+    ))),
+    ("empty", Circuit(2, 0, ())),
+]
+
+
+class TestGolden:
+    def test_artifacts_byte_identical(self):
+        """Circuit and key JSON of every mode for fixed seeds, pinned by digest."""
+        h = hashlib.sha256()
+        runs = [
+            obfuscate(
+                c, mode, seed=seed,
+                subset_size=gate_count(c) // 2 if mode is ObfuscationMode.SUBSET else None,
+            )
+            for _, c in GOLDEN_INPUTS
+            for mode in ObfuscationMode
+            for seed in (0, 3, 17)
+        ]
+        runs.append(obfuscate(
+            qaoa_maxcut(), ObfuscationMode.GLOBAL, seed=0, global_params=CASE_STUDY_KEY
+        ))
+        for obf in runs:
+            h.update(write_json(obf.circuit).encode())
+            h.update(write_key_json(obf.key).encode())
+        assert h.hexdigest() == "76df96dbc98545bce55e278476dec5fc105156c0e81a2ee13cba6993a0c9c687"

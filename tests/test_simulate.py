@@ -14,10 +14,8 @@ from qobf.obfuscate import ObfuscationMode, obfuscate
 from qobf.simulate import (
     Counts,
     SimulationCapError,
-    apply_unitary,
     probabilities,
     run,
-    zero_state,
 )
 
 
@@ -32,23 +30,6 @@ def bell():
             Measure(1, 1),
         ),
     )
-
-
-class TestStatevector:
-    def test_zero_state(self):
-        s = zero_state(3)
-        assert s.amplitudes[0] == 1.0
-        assert np.count_nonzero(s.amplitudes) == 1
-
-    def test_apply_unitary_preserves_norm(self):
-        s = zero_state(2)
-        h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-        s = apply_unitary(s, h, [0])
-        assert np.linalg.norm(s.amplitudes) == pytest.approx(1.0)
-
-    def test_apply_unitary_rejects_bad_qubits(self):
-        with pytest.raises(ValueError):
-            apply_unitary(zero_state(1), np.eye(2, dtype=complex), [2])
 
 
 class TestProbabilities:
