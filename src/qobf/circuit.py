@@ -97,38 +97,51 @@ def _fixed(*rows) -> np.ndarray:
     return np.array(rows, dtype=np.complex128)
 
 
+# Parameter-free gates, built once and shared, hence read-only.
+_FIXED_GATES: dict[str, np.ndarray] = {
+    "id": np.eye(2, dtype=np.complex128),
+    "x": _fixed([0, 1], [1, 0]),
+    "y": _fixed([0, -1j], [1j, 0]),
+    "z": _fixed([1, 0], [0, -1]),
+    "h": _fixed([_SQ2, _SQ2], [_SQ2, -_SQ2]),
+    "s": _fixed([1, 0], [0, 1j]),
+    "sdg": _fixed([1, 0], [0, -1j]),
+    "t": _fixed([1, 0], [0, cmath.exp(0.25j * math.pi)]),
+    "tdg": _fixed([1, 0], [0, cmath.exp(-0.25j * math.pi)]),
+    # control = slot 0: basis 1 <-> 3
+    "cx": _fixed([1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]),
+    "cz": np.diag([1, 1, 1, -1]).astype(np.complex128),
+    "swap": _fixed([1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]),
+    # controls = slots 0, 1; target = slot 2: basis 3 <-> 7
+    "ccx": np.eye(8, dtype=np.complex128)[[0, 1, 2, 7, 4, 5, 6, 3]],
+}
+for _matrix in _FIXED_GATES.values():
+    _matrix.setflags(write=False)
+del _matrix
+
+
+def _check_signature(name: str, num_params: int):
+    sig = GATE_SIGNATURES.get(name)
+    if sig is None:
+        raise CircuitError(f"unknown gate {name!r}")
+    if num_params != sig[0]:
+        raise CircuitError(
+            f"gate {name!r} expects {sig[0]} parameter(s), got {num_params}"
+        )
+
+
 def standard_gate_matrix(name: str, params) -> np.ndarray:
     """Textbook unitary of a supported standard gate.
 
     Multi-qubit gates use the slot convention above; e.g. for cx the control
-    is slot 0 (least significant bit), mapping basis index 1 to 3.
+    is slot 0 (least significant bit), mapping basis index 1 to 3. Gates
+    without parameters return a shared read-only array.
     """
     params = tuple(float(v) for v in params)
-    sig = GATE_SIGNATURES.get(name)
-    if sig is None:
-        raise CircuitError(f"unknown gate {name!r}")
-    if len(params) != sig[0]:
-        raise CircuitError(
-            f"gate {name!r} expects {sig[0]} parameter(s), got {len(params)}"
-        )
-    if name == "id":
-        return np.eye(2, dtype=np.complex128)
-    if name == "x":
-        return _fixed([0, 1], [1, 0])
-    if name == "y":
-        return _fixed([0, -1j], [1j, 0])
-    if name == "z":
-        return _fixed([1, 0], [0, -1])
-    if name == "h":
-        return _fixed([_SQ2, _SQ2], [_SQ2, -_SQ2])
-    if name == "s":
-        return _fixed([1, 0], [0, 1j])
-    if name == "sdg":
-        return _fixed([1, 0], [0, -1j])
-    if name == "t":
-        return _fixed([1, 0], [0, cmath.exp(0.25j * math.pi)])
-    if name == "tdg":
-        return _fixed([1, 0], [0, cmath.exp(-0.25j * math.pi)])
+    _check_signature(name, len(params))
+    fixed = _FIXED_GATES.get(name)
+    if fixed is not None:
+        return fixed
     if name == "rx":
         c, s = math.cos(params[0] / 2), math.sin(params[0] / 2)
         return _fixed([c, -1j * s], [-1j * s, c])
@@ -153,19 +166,6 @@ def standard_gate_matrix(name: str, params) -> np.ndarray:
             [c, -cmath.exp(1j * lam) * s],
             [cmath.exp(1j * phi) * s, cmath.exp(1j * (phi + lam)) * c],
         )
-    if name == "cx":
-        # control = slot 0: basis 1 <-> 3
-        return _fixed([1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0])
-    if name == "cz":
-        return np.diag([1, 1, 1, -1]).astype(np.complex128)
-    if name == "swap":
-        return _fixed([1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1])
-    if name == "ccx":
-        # controls = slots 0, 1; target = slot 2: basis 3 <-> 7
-        m = np.eye(8, dtype=np.complex128)
-        m[3, 3] = m[7, 7] = 0
-        m[3, 7] = m[7, 3] = 1
-        return m
     if name == "rzz":
         e = cmath.exp(0.5j * params[0])
         return np.diag([e.conjugate(), e, e, e.conjugate()]).astype(np.complex128)
@@ -195,7 +195,11 @@ class Circuit:
         object.__setattr__(self, "instructions", tuple(self.instructions))
 
     def validate(self) -> list[str]:
-        """Check index ranges and arity; return non-fatal warnings."""
+        """Check index ranges, gate signatures and arity; return non-fatal warnings.
+
+        Gates are checked against ``GATE_SIGNATURES`` and for finite
+        parameters; no matrix is built.
+        """
         warnings: list[str] = []
         written: dict[int, int] = {}
         for i, instr in enumerate(self.instructions):
@@ -218,10 +222,14 @@ class Circuit:
                     )
                 written[instr.clbit] = i
             if isinstance(instr, StandardGate):
-                standard_gate_matrix(instr.name, instr.params)  # signature check
+                _check_signature(instr.name, len(instr.params))
                 if len(instr.qubits) != GATE_SIGNATURES[instr.name][1]:
                     raise CircuitError(
                         f"instruction {i}: gate {instr.name!r} arity mismatch"
+                    )
+                if not all(map(math.isfinite, instr.params)):
+                    raise CircuitError(
+                        f"instruction {i}: gate {instr.name!r} has a non-finite parameter"
                     )
         return warnings
 
@@ -245,6 +253,20 @@ def segment(c: Circuit) -> SegmentView:
             start = i + 1
     segments.append((start, len(c.instructions)))
     return SegmentView(tuple(segments), tuple(boundaries))
+
+
+def windowed_segments(c: Circuit, view: SegmentView) -> tuple[bool, ...]:
+    """Per segment of ``view``: does global/chained obfuscation give it a basis window?
+
+    A gate-bearing segment gets one; a gate-free segment (e.g. the tail after
+    terminal measurements) gets one only when it is the whole circuit.
+    """
+    if len(view.segments) == 1:
+        return (True,)
+    return tuple(
+        any(isinstance(i, (StandardGate, OpaqueUnitary)) for i in c.instructions[a:b])
+        for a, b in view.segments
+    )
 
 
 def gate_count(c: Circuit) -> int:

@@ -92,9 +92,9 @@ def _print_overhead(report, as_json: bool):
         print(json.dumps(report.to_dict(), indent=2))
         return
     print("structural overhead:")
-    print(f"  gates m = {report.m}, qubits n = {report.n}")
-    print(f"  pre-fusion count 3m + 2n = {report.pre_fusion_count}")
-    print(f"  final count m + 2n = {report.final_count} (measured {report.measured_count})")
+    print(f"  gates m = {report.m}, qubits n = {report.n}, basis windows w = {report.windows}")
+    print(f"  pre-fusion count 3m + 2nw = {report.pre_fusion_count}")
+    print(f"  final count m + 2nw = {report.final_count} (measured {report.measured_count})")
     print(
         f"  depth {report.depth_original} -> {report.depth_obfuscated}"
         f" (delta {report.depth_delta})"

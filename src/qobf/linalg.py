@@ -3,9 +3,15 @@
 All operators are numpy ``complex128`` arrays. Multi-qubit operators follow a
 little-endian slot convention: slot 0 of an operator is the least significant
 bit of its row/column index.
+
+``apply_to_tensor`` applies a k-qubit operator to a register as one matrix
+product: a transpose brings the operator's bits to the front, and its inverse
+puts them back. Both permutations are computed once per (qubits, register
+size) and cached, so a call on a small state costs a few microseconds.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -116,27 +122,44 @@ def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)))
 
 
+@functools.lru_cache(maxsize=8192)
+def _axis_perms(qubits: tuple[int, ...], num_qubits: int) -> tuple[tuple, tuple]:
+    """Transpose bringing ``qubits``' axes to the front in slot order, and its inverse.
+
+    Axes are those of the array reshaped to ``(2,) * num_qubits + (-1,)``: in
+    C order the first axis is the most significant register bit, and the last
+    one holds the trailing dimensions.
+    """
+    if len(set(qubits)) != len(qubits) or not all(0 <= q < num_qubits for q in qubits):
+        raise LinalgError(f"qubits {qubits} invalid for a {num_qubits}-qubit register")
+    front = [num_qubits - 1 - q for q in reversed(qubits)]
+    perm = front + [a for a in range(num_qubits + 1) if a not in front]
+    inverse = [0] * len(perm)
+    for i, a in enumerate(perm):
+        inverse[a] = i
+    return tuple(perm), tuple(inverse)
+
+
 def apply_to_tensor(m: np.ndarray, qubits, array: np.ndarray, num_qubits: int) -> np.ndarray:
     """Apply operator ``m`` on the given register bits of ``array``.
 
     ``array`` has leading dimension 2**num_qubits (state index, bit i =
     qubit i) and arbitrary trailing dimensions. ``qubits`` lists the register
     bits in slot order (slot 0 least significant of ``m``'s index).
+
+    The array is viewed as ``(2,) * num_qubits + (-1,)``, transposed by the
+    cached permutation of ``_axis_perms`` so the operator's bits lead, and
+    multiplied as one ``(2**k, 2**k) @ (2**k, -1)`` product; the inverse
+    permutation restores the axis order. Every arity and every trailing shape
+    (state vectors, ``to_unitary``'s matrices) takes this one path.
     """
     k = len(qubits)
     if m.shape != (2 ** k, 2 ** k):
         raise LinalgError(f"operator shape {m.shape} does not match {k} qubits")
-    lead = array.shape[0]
-    if lead != 2 ** num_qubits:
+    shape = array.shape
+    if shape[0] != 2 ** num_qubits:
         raise LinalgError("array leading dimension does not match register size")
-    rest = array.shape[1:]
-    t = array.reshape((2,) * num_qubits + rest)
-    # Axis for register bit q (C order: first axis = most significant bit).
-    axes = [num_qubits - 1 - q for q in reversed(qubits)]
-    t = np.moveaxis(t, axes, range(k))
-    shp = t.shape
-    t = t.reshape(2 ** k, -1)
-    t = m @ t
-    t = t.reshape(shp)
-    t = np.moveaxis(t, range(k), axes)
-    return np.ascontiguousarray(t).reshape((lead,) + rest)
+    perm, inverse = _axis_perms(tuple(qubits), num_qubits)
+    t = array.reshape((2,) * num_qubits + (-1,)).transpose(perm)
+    t = (m @ t.reshape(2 ** k, -1)).reshape(t.shape).transpose(inverse)
+    return t.reshape(shape)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Barrier, Circuit, depth, gate_count
+from .circuit import Barrier, Circuit, depth, gate_count, segment, windowed_segments
 from .simulate import Counts, run
 
 
@@ -44,6 +44,7 @@ class ComparisonReport:
 class OverheadReport:
     m: int
     n: int
+    windows: int
     pre_fusion_count: int
     final_count: int
     measured_count: int
@@ -56,6 +57,7 @@ class OverheadReport:
         return {
             "m": self.m,
             "n": self.n,
+            "windows": self.windows,
             "pre_fusion_count": self.pre_fusion_count,
             "final_count": self.final_count,
             "measured_count": self.measured_count,
@@ -108,9 +110,11 @@ def overhead(
 ) -> OverheadReport:
     """Structural overhead report; cross-checks the closed-form counts.
 
-    The m + 2n / 3m + 2n formulas describe global and chained modes on
-    single-segment circuits; ``consistent`` records whether the measured
-    structure matches them (pass ``mode`` to enable the check).
+    Global and chained modes add one basis layer and one inverse layer of n
+    gates per window (``windowed_segments``): m + 2nw gates after fusion,
+    3m + 2nw before, for w windows. A single window on a barrier-free circuit
+    also adds exactly 2 to the depth. ``consistent`` records whether the
+    measured structure matches these forms (pass ``mode`` to enable the check).
     """
     if original.num_qubits != obfuscated.num_qubits:
         raise MetricsError("circuits act on different register sizes")
@@ -119,17 +123,21 @@ def overhead(
     measured = gate_count(obfuscated)
     d_orig = depth(original)
     d_obf = depth(obfuscated)
+    w = sum(windowed_segments(original, segment(original)))
     consistent = True
     if mode in ("global", "chained"):
-        barrier_free = not any(isinstance(i, Barrier) for i in original.instructions)
-        consistent = measured == m + 2 * n and (
-            not barrier_free or d_obf - d_orig == 2
+        depth_checked = w == 1 and not any(
+            isinstance(i, Barrier) for i in original.instructions
+        )
+        consistent = measured == m + 2 * n * w and (
+            not depth_checked or d_obf - d_orig == 2
         )
     return OverheadReport(
         m=m,
         n=n,
-        pre_fusion_count=3 * m + 2 * n,
-        final_count=m + 2 * n,
+        windows=w,
+        pre_fusion_count=3 * m + 2 * n * w,
+        final_count=m + 2 * n * w,
         measured_count=measured,
         depth_original=d_orig,
         depth_obfuscated=d_obf,

@@ -34,11 +34,11 @@ from .circuit import (
     Barrier,
     Circuit,
     OpaqueUnitary,
-    StandardGate,
     gate_count,
     instruction_matrix,
     segment,
     standard_gate_matrix,
+    windowed_segments,
 )
 from .jsonio import KEY_FORMAT, FORMAT_VERSION, SchemaError
 from .linalg import (
@@ -221,15 +221,13 @@ def obfuscate(
         cur.update(zip(instr.qubits, nxt))
 
     view = segment(c)
+    # No window around a gate-free segment: its basis layers would inflate the
+    # gate count without hiding anything.
+    windowed = windowed_segments(c, view)
     gate_idx = 0
     for si, (start, end) in enumerate(view.segments):
         body = c.instructions[start:end]
-        # No window around a gate-free segment: its basis layers would
-        # inflate the gate count without hiding anything.
-        seg_window = protected is None and (
-            len(view.segments) == 1
-            or any(isinstance(i, (StandardGate, OpaqueUnitary)) for i in body)
-        )
+        seg_window = protected is None and windowed[si]
         if seg_window:
             open_window(f"s{si}", si, range(c.num_qubits))
         for instr in body:

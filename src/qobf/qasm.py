@@ -57,6 +57,8 @@ def detect_version(text: str) -> SourceVersion:
 # Tokenizer
 
 _SYMBOLS = ("->", "==", "+", "-", "*", "/", "(", ")", "[", "]", "{", "}", ";", ",", "=")
+_NUM_RE = re.compile(r"\d*\.?\d+([eE][+-]?\d+)?")
+_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 @dataclass(frozen=True)
@@ -103,17 +105,21 @@ def _tokenize(text: str) -> list[_Token]:
             col += end + 1 - i
             i = end + 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            m = re.match(r"\d*\.?\d+([eE][+-]?\d+)?", text[i:])
-            tokens.append(_Token("num", m.group(0), line, col))
-            col += m.end()
-            i += m.end()
-            continue
-        if ch.isalpha() or ch == "_":
-            m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", text[i:])
-            tokens.append(_Token("id", m.group(0), line, col))
-            col += m.end()
-            i += m.end()
+        # Patterns match at i, so no token copies the rest of the text. A
+        # character no pattern accepts (e.g. a non-ASCII letter) falls
+        # through to the unexpected-character error.
+        if ch.isdigit() or ch == ".":
+            m = _NUM_RE.match(text, i)
+            kind = "num"
+        elif ch.isalpha() or ch == "_":
+            m = _ID_RE.match(text, i)
+            kind = "id"
+        else:
+            m = None
+        if m is not None:
+            tokens.append(_Token(kind, m.group(), line, col))
+            col += m.end() - i
+            i = m.end()
             continue
         matched = False
         for sym in _SYMBOLS:
@@ -180,6 +186,13 @@ class _Parser:
     def error(self, tok: _Token, message: str, kind: str = "syntax"):
         raise ParseError(tok.line, tok.col, message, kind)
 
+    def expect_int(self) -> int:
+        """A register size or index: a plain non-negative integer literal."""
+        tok = self.expect("num")
+        if not tok.value.isdigit():
+            self.error(tok, f"expected an integer, got {tok.value!r}")
+        return int(tok.value)
+
     # -- expressions --------------------------------------------------------
     def parse_expr(self):
         return self._parse_additive()
@@ -199,8 +212,8 @@ class _Parser:
         while True:
             if self.accept("sym", "*"):
                 node = ("*", node, self._parse_unary())
-            elif self.accept("sym", "/"):
-                node = ("/", node, self._parse_unary())
+            elif tok := self.accept("sym", "/"):
+                node = ("/", node, self._parse_unary(), tok)
             else:
                 return node
 
@@ -243,6 +256,9 @@ class _Parser:
         if op == "*":
             return a * b
         if op == "/":
+            if b == 0.0:
+                tok = node[3]
+                raise ParseError(tok.line, tok.col, "division by zero in expression", "value")
             return a / b
         raise AssertionError(op)
 
@@ -262,9 +278,9 @@ class _Parser:
     def qubit_operand(self) -> tuple[str, int | None, _Token]:
         tok = self.expect("id")
         if self.accept("sym", "["):
-            idx_tok = self.expect("num")
+            idx = self.expect_int()
             self.expect("sym", "]")
-            return tok.value, int(idx_tok.value), tok
+            return tok.value, idx, tok
         return tok.value, None, tok
 
     def resolve_q(self, name: str, idx: int | None, tok: _Token) -> list[int]:
@@ -317,7 +333,7 @@ class _Parser:
             self.next()
             reg = self.expect("id")
             self.expect("sym", "[")
-            size = int(self.expect("num").value)
+            size = self.expect_int()
             self.expect("sym", "]")
             self.expect("sym", ";")
             self.declare_qreg(reg.value, size, reg)
@@ -326,7 +342,7 @@ class _Parser:
             self.next()
             reg = self.expect("id")
             self.expect("sym", "[")
-            size = int(self.expect("num").value)
+            size = self.expect_int()
             self.expect("sym", "]")
             self.expect("sym", ";")
             self.declare_creg(reg.value, size, reg)
@@ -334,7 +350,7 @@ class _Parser:
         if name in ("qubit", "bit") and self.version is SourceVersion.Qasm3:
             self.next()
             self.expect("sym", "[")
-            size = int(self.expect("num").value)
+            size = self.expect_int()
             self.expect("sym", "]")
             reg = self.expect("id")
             self.expect("sym", ";")
@@ -488,6 +504,8 @@ class _Parser:
         nparams, arity = GATE_SIGNATURES[name]
         if len(params) != nparams:
             self.error(tok, f"gate {name!r} expects {nparams} parameter(s)", "arity")
+        if not all(map(math.isfinite, params)):
+            self.error(tok, f"gate {name!r} has a non-finite parameter", "value")
         if len(qubits) != arity:
             self.error(tok, f"gate {name!r} expects {arity} qubit(s)", "arity")
         self.instructions.append(StandardGate(name, tuple(params), tuple(qubits)))

@@ -77,6 +77,22 @@ class TestGateMatrices:
         b = standard_gate_matrix("u", (0.4, 0.5, 0.6))
         assert max_abs_diff(a, b) == 0.0
 
+    @pytest.mark.parametrize(
+        "name", ["id", "x", "y", "z", "h", "s", "sdg", "t", "tdg", "cx", "cz", "swap", "ccx"]
+    )
+    def test_fixed_gates_are_shared_and_read_only(self, name):
+        m = standard_gate_matrix(name, ())
+        assert m is standard_gate_matrix(name, [])
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 2.0
+        assert m[0, 0] != 2.0
+
+    def test_parametric_gates_are_fresh_arrays(self):
+        a = standard_gate_matrix("rx", (0.3,))
+        assert a is not standard_gate_matrix("rx", (0.3,))
+        assert a.flags.writeable
+
 
 class TestInstructions:
     def test_standard_gate_arity_checked_at_validate(self):
@@ -122,6 +138,30 @@ class TestValidation:
         c = Circuit(2, 1, (Measure(0, 0), Measure(1, 0)))
         warnings = c.validate()
         assert len(warnings) == 1 and "clbit 0" in warnings[0]
+
+    @pytest.mark.parametrize(
+        "gate, message",
+        [
+            (StandardGate("frob", (), (0,)), "unknown gate 'frob'"),
+            (StandardGate("rz", (), (0,)), "gate 'rz' expects 1 parameter(s), got 0"),
+            (StandardGate("h", (0.5,), (0,)), "gate 'h' expects 0 parameter(s), got 1"),
+            (StandardGate("cx", (), (0,)), "instruction 0: gate 'cx' arity mismatch"),
+        ],
+    )
+    def test_signature_errors_need_no_matrix(self, monkeypatch, gate, message):
+        def refuse(name, params):
+            raise AssertionError("validate must not build gate matrices")
+
+        monkeypatch.setattr("qobf.circuit.standard_gate_matrix", refuse)
+        with pytest.raises(CircuitError) as exc:
+            Circuit(2, 0, (gate,)).validate()
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_parameter_rejected(self, value):
+        c = Circuit(1, 0, (StandardGate("h", (), (0,)), StandardGate("rx", (value,), (0,))))
+        with pytest.raises(CircuitError, match="instruction 1: gate 'rx' has a non-finite"):
+            c.validate()
 
 
 class TestStructure:

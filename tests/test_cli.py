@@ -77,6 +77,41 @@ class TestObfuscate:
         assert rc == EXIT_PARSE
 
 
+    def test_mid_circuit_artifact_passes_structure_check(self, tmp_path, capsys):
+        src = tmp_path / "mid.qasm"
+        src.write_text(
+            "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nh q[0];\nmeasure q[0] -> c[0];\n"
+            "reset q[0];\ncx q[0],q[1];\nmeasure q[0] -> c[0];\nmeasure q[1] -> c[1];\n"
+        )
+        for mode in ("global", "chained"):
+            rc = main([
+                "obfuscate", "--in", str(src), "--mode", mode,
+                "--out", str(tmp_path / "o.json"),
+            ])
+            assert rc == EXIT_OK
+            out = capsys.readouterr().out
+            assert "final count m + 2nw = 10 (measured 10)" in out
+            assert "WARNING" not in out
+
+    @pytest.mark.parametrize(
+        "statement, where",
+        [
+            ("qreg q[1];\nrx(1/0) q[0];\n", "line 3, col 5"),
+            ("qreg q[1.5];\n", "line 2, col 8"),
+            ("qreg q[2];\nh q[1e3];\n", "line 3, col 5"),
+            ("qreg q[1];\nrx(1e400) q[0];\n", "line 3, col 1"),
+        ],
+    )
+    def test_numeric_faults_are_parse_errors(self, tmp_path, capsys, statement, where):
+        bad = tmp_path / "bad.qasm"
+        bad.write_text("OPENQASM 2.0;\n" + statement)
+        rc = main(["obfuscate", "--in", str(bad), "--out", str(tmp_path / "o.json")])
+        assert rc == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert where in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+
 class TestSimulate:
     def test_counts_json(self, tmp_path, bell_qasm, capsys):
         rc = main(["simulate", "--in", bell_qasm, "--shots", "256", "--seed", "4", "--json"])

@@ -148,3 +148,52 @@ class TestApplyToTensor:
             full[:, col] = apply_to_tensor(m, [0, 2], vec, 3).reshape(-1)
         assert is_unitary(full, 1e-12)
         assert max_abs_diff(out, full @ state) < 1e-12
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.integers(1, min(3, n)).flatmap(
+                    lambda k: st.permutations(range(n)).map(lambda p: tuple(p[:k]))
+                ),
+            )
+        ),
+        st.sampled_from([(), (1,), (3,), (4,)]),
+        st.integers(0, 2 ** 32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_reference(self, n_qubits, trailing, seed):
+        n, qubits = n_qubits
+        k = len(qubits)
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(2 ** k, 2 ** k)) + 1j * rng.normal(size=(2 ** k, 2 ** k))
+        shape = (2 ** n,) + trailing
+        array = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        out = apply_to_tensor(m, qubits, array, n)
+        assert out.shape == shape
+        assert max_abs_diff(out, dense_lift(m, qubits, n) @ array) < 1e-12
+
+    @pytest.mark.parametrize("qubits", [(0, 0), (3,), (-1,), (1, 3)])
+    def test_rejects_invalid_qubits(self, qubits):
+        m = np.eye(2 ** len(qubits), dtype=complex)
+        with pytest.raises(LinalgError):
+            apply_to_tensor(m, qubits, np.ones(8, dtype=complex), 3)
+
+
+def dense_lift(m, qubits, n):
+    """Reference lift of ``m`` on ``qubits``: P^T (I (x) m) P, from np.kron alone.
+
+    P is the basis permutation taking register index i to the index whose low
+    bits are i's bits at ``qubits`` (in slot order) and whose high bits are
+    the remaining register bits in ascending order.
+    """
+    k = len(qubits)
+    identity = np.eye(1)
+    for _ in range(n - k):
+        identity = np.kron(np.eye(2), identity)
+    order = list(qubits) + [q for q in range(n) if q not in qubits]
+    p = np.zeros((2 ** n, 2 ** n))
+    for i in range(2 ** n):
+        j = sum(((i >> q) & 1) << pos for pos, q in enumerate(order))
+        p[j, i] = 1.0
+    return p.T @ np.kron(identity, m) @ p

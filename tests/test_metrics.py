@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qobf.bench import bell
+from qobf.circuit import Circuit, Measure, OpaqueUnitary, Reset, StandardGate
 from qobf.metrics import (
     MetricsError,
     overhead,
@@ -13,6 +14,17 @@ from qobf.metrics import (
 )
 from qobf.obfuscate import ObfuscationMode, obfuscate
 from qobf.simulate import Counts
+
+
+def mid_circuit():
+    return Circuit(2, 2, (
+        StandardGate("h", (), (0,)),
+        Measure(0, 0),
+        Reset(0),
+        StandardGate("cx", (), (0, 1)),
+        Measure(0, 0),
+        Measure(1, 1),
+    ))
 
 
 def counts(d):
@@ -97,14 +109,37 @@ class TestOverhead:
         assert rep.depth_delta == 2
         assert rep.consistent
 
+    @pytest.mark.parametrize("mode", [ObfuscationMode.GLOBAL, ObfuscationMode.CHAINED])
+    def test_mid_circuit_counts_one_layer_pair_per_window(self, mode):
+        # h, measure, reset | cx, 2 terminal measures: two gate-bearing
+        # segments, so two basis windows of n = 2 wires each.
+        c = mid_circuit()
+        obf = obfuscate(c, mode, seed=4)
+        rep = overhead(c, obf.circuit, mode=mode.value)
+        assert (rep.m, rep.n, rep.windows) == (2, 2, 2)
+        assert rep.measured_count == rep.final_count == 2 + 2 * 2 * 2
+        assert rep.pre_fusion_count == 3 * 2 + 2 * 2 * 2
+        assert rep.consistent
+
+    def test_mid_circuit_missing_layer_is_inconsistent(self):
+        c = mid_circuit()
+        obf = obfuscate(c, ObfuscationMode.GLOBAL, seed=4).circuit
+        first = next(i for i, x in enumerate(obf.instructions) if isinstance(x, OpaqueUnitary))
+        dropped = Circuit(obf.num_qubits, obf.num_clbits,
+                          obf.instructions[:first] + obf.instructions[first + 1:])
+        assert not overhead(c, dropped, mode="global").consistent
+
+    def test_gate_free_tail_is_not_a_window(self):
+        rep = overhead(bell(), obfuscate(bell(), ObfuscationMode.CHAINED, seed=2).circuit,
+                       mode="chained")
+        assert rep.windows == 1 and rep.depth_delta == 2 and rep.consistent
+
     def test_no_mode_skips_consistency(self):
         c = bell()
         rep = overhead(c, c)
         assert rep.consistent
 
     def test_register_mismatch(self):
-        from qobf.circuit import Circuit
-
         with pytest.raises(MetricsError):
             overhead(Circuit(1, 0, ()), Circuit(2, 0, ()))
 

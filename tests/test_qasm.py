@@ -1,4 +1,7 @@
 """Tests for the OpenQASM parser, emitter, and ZYZ recovery."""
+import hashlib
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from qobf.linalg import U3Params, equal_up_to_global_phase, max_abs_diff, u3_mat
 from qobf.qasm import (
     ParseError,
     SourceVersion,
+    _tokenize,
     detect_version,
     emit_qasm2,
     parse,
@@ -143,6 +147,69 @@ class TestParseErrors:
         with pytest.raises(ParseError) as exc:
             parse("OPENQASM 2.0;\nqreg q[1;\n")
         assert exc.value.kind == "syntax"
+
+    @pytest.mark.parametrize(
+        "body, line, col, kind",
+        [
+            ("qreg q[1];\nrx(1/0) q[0];\n", 3, 5, "value"),
+            ("qreg q[1];\ngate g(a) x { rx(pi/(a-a)) x; }\ng(1) q[0];\n", 3, 20, "value"),
+            ("qreg q[1];\nrx(1e400) q[0];\n", 3, 1, "value"),
+            ("qreg q[1];\nrz(1e308*10-1e308*10) q[0];\n", 3, 1, "value"),
+            ("qreg q[1.5];\n", 2, 8, "syntax"),
+            ("creg c[2e1];\n", 2, 8, "syntax"),
+            ("qreg q[2];\nh q[1e3];\n", 3, 5, "syntax"),
+            ("qreg q[2];\nh q[\u00b2];\n", 3, 5, "syntax"),
+            ("qreg q\u00e9[2];\n", 2, 7, "syntax"),
+        ],
+    )
+    def test_numeric_and_character_faults_located(self, body, line, col, kind):
+        with pytest.raises(ParseError) as exc:
+            parse("OPENQASM 2.0;\n" + body)
+        assert (exc.value.line, exc.value.column, exc.value.kind) == (line, col, kind)
+
+
+def generated_qasm(seed: int, gates: int) -> str:
+    """Seeded QASM exercising every token kind, comment style and line ending."""
+    rng = random.Random(seed)
+    lines = [
+        "OPENQASM 2.0;", 'include "qelib1.inc";', "qreg q[12];", "creg c[12];",
+        "/* block comment", "   over two lines */ gate g_1(a, b) x, y { u3(a, b/2, -a) x; cx x,y; }",
+    ]
+
+    def num():
+        return rng.choice([
+            str(rng.randrange(100)), f"{rng.uniform(0, 9):.6f}", f".{rng.randrange(1000)}",
+            f"{rng.uniform(1, 9):.3f}e-{rng.randrange(3)}", f"{rng.randrange(9)}E+{rng.randrange(3)}",
+        ])
+
+    for _ in range(gates):
+        a, b = rng.sample(range(12), 2)
+        lines.append(rng.choice([
+            f"h q[{a}];",
+            f"cx q[{a}],q[{b}];\t// entangle",
+            f"rz({num()}*pi - {num()}) q[{a}];",
+            f"u3({num()}, -({num()}+pi)/{rng.randrange(1, 9)}, {num()}) q[{a}];",
+            f"g_1({num()}, {num()}) q[{a}], q[{b}];",
+            f"  measure q[{a}] -> c[{a}]; reset q[{a}];",
+            f"barrier q[{a}],q[{b}]; /* inline */ rzz({num()}) q[{a}],q[{b}];",
+        ]))
+    return "\r\n".join(lines[:3]) + "\n" + "\n".join(lines[3:]) + "\n"
+
+
+class TestTokenizer:
+    def test_stream_pinned_on_generated_file(self):
+        # SHA-256 of (kind, value, line, col) per token, computed with the
+        # slicing tokenizer this one replaced.
+        text = generated_qasm(5, 600)
+        tokens = _tokenize(text)
+        h = hashlib.sha256()
+        for t in tokens:
+            h.update(f"{t.kind}\x00{t.value}\x00{t.line}\x00{t.col}\n".encode())
+        assert len(tokens) == 9199
+        assert h.hexdigest() == (
+            "e5406d8aa770d640a5ec68c2392667e0bd6033b8bc3413c55ae0ccd4ddfeb1ef"
+        )
+        parse(text)
 
 
 class TestZyz:
