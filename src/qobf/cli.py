@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -40,15 +39,6 @@ class CliFailure(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-def _max_qubits(args) -> int:
-    env = os.environ.get("QOBF_MAX_QUBITS")
-    if args.max_qubits is not None:
-        return args.max_qubits
-    if env is not None:
-        return int(env)
-    return DEFAULT_MAX_QUBITS
 
 
 def _read_text(path: str) -> str:
@@ -127,7 +117,7 @@ def cmd_obfuscate(args) -> int:
 
 def cmd_simulate(args) -> int:
     circuit = load_circuit(getattr(args, "in"))
-    counts = run(circuit, args.shots, seed=args.seed, max_qubits=_max_qubits(args))
+    counts = run(circuit, args.shots, seed=args.seed, max_qubits=args.max_qubits)
     text = counts_to_json(counts.counts, counts.shots)
     if args.out:
         _write_text(args.out, text)
@@ -145,7 +135,7 @@ def cmd_compare(args) -> int:
         shots=args.shots,
         runs=args.runs,
         seed=args.seed,
-        max_qubits=_max_qubits(args),
+        max_qubits=args.max_qubits,
     )
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
@@ -253,15 +243,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_in=True):
-        if needs_in:
-            p.add_argument("--in", required=True, help="input circuit (QASM or JSON)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--max-qubits", type=int, default=None)
+    shared = {
+        "--in": dict(required=True, help="input circuit (QASM or JSON)"),
+        "--seed": dict(type=int, default=0),
+        "--json": dict(action="store_true", help="machine-readable output"),
+        "--max-qubits": dict(type=int, default=DEFAULT_MAX_QUBITS),
+    }
+
+    def common(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
 
     p = sub.add_parser("obfuscate", help="rewrite a circuit into an obfuscated form")
-    common(p)
+    common(p, "--in", "--seed", "--json")
     p.add_argument("--mode", choices=["global", "chained", "subset"], default="global")
     p.add_argument("--subset-size", type=int, default=None)
     p.add_argument("--out", required=True, help="obfuscated circuit JSON path")
@@ -269,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_obfuscate)
 
     p = sub.add_parser("simulate", help="sample measurement counts")
-    common(p)
+    common(p, "--in", "--seed", "--max-qubits")
     p.add_argument("--shots", type=int, default=1024)
     p.add_argument("--out", default=None, help="counts JSON path (default stdout)")
     p.set_defaults(func=cmd_simulate)
@@ -277,20 +271,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="compare two circuits' output distributions")
     p.add_argument("original")
     p.add_argument("obfuscated")
-    common(p, needs_in=False)
+    common(p, "--seed", "--json", "--max-qubits")
     p.add_argument("--shots", type=int, default=1024)
     p.add_argument("--runs", type=int, default=1)
     p.add_argument("--accuracy-floor", type=float, default=0.0)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("analyze", help="overhead and security report")
-    common(p)
+    common(p, "--in", "--json")
     p.add_argument("--key", default=None, help="obfuscation key JSON path")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("bench", help="run the benchmark suite")
-    common(p, needs_in=False)
-    p.add_argument("--suite", choices=["paper"], default="paper")
+    common(p, "--seed", "--json")
     p.add_argument("--modes", default="global")
     p.add_argument("--shots", type=int, default=1024)
     p.add_argument("--runs", type=int, default=100)

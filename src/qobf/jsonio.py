@@ -17,7 +17,6 @@ from .circuit import (
     Reset,
     StandardGate,
 )
-from .linalg import is_unitary
 
 CIRCUIT_FORMAT = "qobf-circuit"
 KEY_FORMAT = "qobf-key"
@@ -84,39 +83,41 @@ def circuit_from_dict(doc: dict) -> Circuit:
     if doc.get("version") != FORMAT_VERSION:
         raise SchemaError(f"unsupported document version {doc.get('version')!r}")
     instructions = []
-    for i, entry in enumerate(doc.get("instructions", [])):
-        kind = entry.get("kind")
-        if kind == "gate":
-            instructions.append(
-                StandardGate(
-                    entry["name"],
-                    tuple(float(p) for p in entry.get("params", [])),
-                    tuple(int(q) for q in entry["qubits"]),
-                )
-            )
-        elif kind == "unitary":
-            m = _matrix_from_json(entry["matrix"])
-            if not is_unitary(m, tol=1e-9):
-                raise SchemaError(f"instruction {i}: embedded matrix is not unitary")
-            instructions.append(
-                OpaqueUnitary(entry["label"], tuple(int(q) for q in entry["qubits"]), m)
-            )
-        elif kind == "measure":
-            instructions.append(Measure(int(entry["qubit"]), int(entry["clbit"])))
-        elif kind == "reset":
-            instructions.append(Reset(int(entry["qubit"])))
-        elif kind == "barrier":
-            instructions.append(Barrier(tuple(int(q) for q in entry["qubits"])))
-        else:
-            raise SchemaError(f"instruction {i}: unknown kind {kind!r}")
     try:
+        for i, entry in enumerate(doc.get("instructions", [])):
+            if not isinstance(entry, dict):
+                raise SchemaError(f"instruction {i}: not an object")
+            kind = entry.get("kind")
+            if kind == "gate":
+                instructions.append(
+                    StandardGate(
+                        entry["name"],
+                        tuple(float(p) for p in entry.get("params", [])),
+                        tuple(int(q) for q in entry["qubits"]),
+                    )
+                )
+            elif kind == "unitary":
+                m = _matrix_from_json(entry["matrix"])
+                instructions.append(
+                    OpaqueUnitary(entry["label"], tuple(int(q) for q in entry["qubits"]), m)
+                )
+            elif kind == "measure":
+                instructions.append(Measure(int(entry["qubit"]), int(entry["clbit"])))
+            elif kind == "reset":
+                instructions.append(Reset(int(entry["qubit"])))
+            elif kind == "barrier":
+                instructions.append(Barrier(tuple(int(q) for q in entry["qubits"])))
+            else:
+                raise SchemaError(f"instruction {i}: unknown kind {kind!r}")
         circuit = Circuit(
             num_qubits=int(doc["num_qubits"]),
             num_clbits=int(doc["num_clbits"]),
             instructions=tuple(instructions),
         )
         circuit.validate()
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:
+        raise SchemaError(f"missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(str(exc)) from exc
     return circuit
 
@@ -128,7 +129,7 @@ def write_json(c: Circuit) -> str:
 def read_json(text: str) -> Circuit:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # malformed, over the digit limit, too deep
         raise SchemaError(f"invalid JSON: {exc}") from exc
     return circuit_from_dict(doc)
 

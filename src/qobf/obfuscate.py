@@ -372,39 +372,48 @@ def key_to_dict(key: ObfuscationKey) -> dict:
 def key_from_dict(doc: dict) -> ObfuscationKey:
     if not isinstance(doc, dict) or doc.get("format") != KEY_FORMAT:
         raise SchemaError(f"not a {KEY_FORMAT} document")
+    if doc.get("version") != FORMAT_VERSION:
+        raise SchemaError(f"unsupported key version {doc.get('version')!r}")
     blocks = []
     boundaries = []
-    for r in doc.get("records", []):
-        if r.get("kind") == "block":
-            blocks.append(
-                BlockRecord(
-                    r["label"],
-                    int(r["gate_index"]),
-                    r["original"],
-                    tuple(int(q) for q in r["qubits"]),
-                    tuple(_params_from_json(t) for t in r["left"]),
-                    tuple(_params_from_json(t) for t in r["right"]),
+    try:
+        for i, r in enumerate(doc.get("records", [])):
+            if not isinstance(r, dict):
+                raise SchemaError(f"key record {i}: not an object")
+            if r.get("kind") == "block":
+                blocks.append(
+                    BlockRecord(
+                        r["label"],
+                        int(r["gate_index"]),
+                        r["original"],
+                        tuple(int(q) for q in r["qubits"]),
+                        tuple(_params_from_json(t) for t in r["left"]),
+                        tuple(_params_from_json(t) for t in r["right"]),
+                    )
                 )
-            )
-        elif r.get("kind") == "boundary":
-            boundaries.append(
-                BoundaryRecord(
-                    r["label"], int(r["segment"]), int(r["qubit"]),
-                    _params_from_json(r["params"]), r["role"],
+            elif r.get("kind") == "boundary":
+                boundaries.append(
+                    BoundaryRecord(
+                        r["label"], int(r["segment"]), int(r["qubit"]),
+                        _params_from_json(r["params"]), r["role"],
+                    )
                 )
-            )
-        else:
-            raise SchemaError(f"unknown key record kind {r.get('kind')!r}")
-    return ObfuscationKey(
-        seed=int(doc["seed"]),
-        mode=ObfuscationMode(doc["mode"]),
-        num_qubits=int(doc["num_qubits"]),
-        num_gates=int(doc["num_gates"]),
-        blocks=tuple(blocks),
-        boundaries=tuple(boundaries),
-        segment_params=tuple(_params_from_json(p) for p in doc.get("segment_params", [])),
-        protected=tuple(doc["protected"]) if "protected" in doc else None,
-    )
+            else:
+                raise SchemaError(f"unknown key record kind {r.get('kind')!r}")
+        return ObfuscationKey(
+            seed=int(doc["seed"]),
+            mode=ObfuscationMode(doc["mode"]),
+            num_qubits=int(doc["num_qubits"]),
+            num_gates=int(doc["num_gates"]),
+            blocks=tuple(blocks),
+            boundaries=tuple(boundaries),
+            segment_params=tuple(_params_from_json(p) for p in doc.get("segment_params", [])),
+            protected=tuple(doc["protected"]) if "protected" in doc else None,
+        )
+    except KeyError as exc:
+        raise SchemaError(f"missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def write_key_json(key: ObfuscationKey) -> str:
@@ -414,6 +423,6 @@ def write_key_json(key: ObfuscationKey) -> str:
 def read_key_json(text: str) -> ObfuscationKey:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # malformed, over the digit limit, too deep
         raise SchemaError(f"invalid JSON: {exc}") from exc
     return key_from_dict(doc)

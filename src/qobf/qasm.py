@@ -1,13 +1,17 @@
 """OpenQASM frontend: parse QASM 2.0 (and a minimal 3.0 subset) to circuits,
 emit QASM 2.0, and recover U3 parameters from 1-qubit unitaries for export.
+
+Input is ASCII; comments may precede the header. Every fault in the input
+raises `ParseError` with the line and column of the offending token.
 """
 from __future__ import annotations
 
 import cmath
 import enum
 import math
+import operator
 import re
-from dataclasses import dataclass
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -37,116 +41,96 @@ class ParseError(Exception):
         self.kind = kind
 
 
-_HEADER_RE = re.compile(r"OPENQASM\s+(\S+?)\s*;")
-
-
-def detect_version(text: str) -> SourceVersion:
-    stripped = text.strip()
-    m = _HEADER_RE.match(stripped)
-    if m:
-        ver = m.group(1)
-        if ver == "2.0":
-            return SourceVersion.Qasm2
-        if ver in ("3.0", "3"):
-            return SourceVersion.Qasm3
-        raise ParseError(1, 1, f"unsupported OPENQASM version {ver!r}", "unknown-version")
-    raise ParseError(1, 1, "missing or malformed OPENQASM header", "unknown-version")
-
-
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_SYMBOLS = ("->", "==", "+", "-", "*", "/", "(", ")", "[", "]", "{", "}", ";", ",", "=")
-_NUM_RE = re.compile(r"\d*\.?\d+([eE][+-]?\d+)?")
-_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# One alternative per token kind, tried in order at the current position.
+# The `*` that opens a block comment may also close it, so `/*/` is a comment.
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<newline> \n )
+    | (?P<blank> [ \t\r]+ )
+    | (?P<comment> //[^\n]* | /\*(?:/|[\s\S]*?\*/) )
+    | (?P<str> "[^"]*" )
+    | (?P<unterminated> /\* | " )
+    | (?P<num> [0-9]*\.?[0-9]+ (?:[eE][+-]?[0-9]+)? )
+    | (?P<id> [A-Za-z_][A-Za-z0-9_]* )
+    | (?P<sym> -> | == | [-+*/()\[\]{};,=] )
+    | (?P<bad> [\s\S] )
+    """,
+    re.VERBOSE | re.ASCII,
+)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # id | num | str | sym | eof
     value: str
     line: int
     col: int
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("/*", i):
-            end = text.find("*/", i)
-            if end < 0:
-                raise ParseError(line, col, "unterminated block comment")
-            skipped = text[i : end + 2]
-            line += skipped.count("\n")
-            col = 1 if "\n" in skipped else col + len(skipped)
-            i = end + 2
-            continue
-        if ch == '"':
-            end = text.find('"', i + 1)
-            if end < 0:
-                raise ParseError(line, col, "unterminated string literal")
-            tokens.append(_Token("str", text[i + 1 : end], line, col))
-            col += end + 1 - i
-            i = end + 1
-            continue
-        # Patterns match at i, so no token copies the rest of the text. A
-        # character no pattern accepts (e.g. a non-ASCII letter) falls
-        # through to the unexpected-character error.
-        if ch.isdigit() or ch == ".":
-            m = _NUM_RE.match(text, i)
-            kind = "num"
-        elif ch.isalpha() or ch == "_":
-            m = _ID_RE.match(text, i)
-            kind = "id"
-        else:
-            m = None
-        if m is not None:
-            tokens.append(_Token(kind, m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        matched = False
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(_Token("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                matched = True
-                break
-        if not matched:
-            raise ParseError(line, col, f"unexpected character {ch!r}")
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+def _tokenize(text: str) -> Iterator[_Token]:
+    """Yield the tokens of `text`, then an eof token.
+
+    A column counts from the end of the last token containing a newline, so
+    the token after a multi-line block comment is in column 1.
+    """
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind, value = m.lastgroup, m.group()
+        if kind in ("id", "num", "sym", "str"):
+            yield _Token(kind, value[1:-1] if kind == "str" else value, line,
+                         m.start() - line_start + 1)
+        elif kind == "unterminated":
+            what = "block comment" if value == "/*" else "string literal"
+            raise ParseError(line, m.start() - line_start + 1, f"unterminated {what}")
+        elif kind == "bad":
+            raise ParseError(line, m.start() - line_start + 1, f"unexpected character {value!r}")
+        if "\n" in value:
+            line += value.count("\n")
+            line_start = m.end()
+    yield _Token("eof", "", line, len(text) - line_start + 1)
+
+
+_VERSIONS = {"2.0": SourceVersion.Qasm2, "3": SourceVersion.Qasm3, "3.0": SourceVersion.Qasm3}
+
+
+def _read_header(tokens: Iterator[_Token]) -> SourceVersion:
+    """Consume `OPENQASM <version> ;`, the first three tokens."""
+    tok = next(tokens)
+    if tok[:2] == ("id", "OPENQASM"):
+        tok = next(tokens)
+        if tok.kind == "num":
+            version = _VERSIONS.get(tok.value)
+            if version is None:
+                raise ParseError(tok.line, tok.col,
+                                 f"unsupported OPENQASM version {tok.value!r}", "unknown-version")
+            tok = next(tokens)
+            if tok[:2] == ("sym", ";"):
+                return version
+    raise ParseError(tok.line, tok.col, "missing or malformed OPENQASM header", "unknown-version")
+
+
+def detect_version(text: str) -> SourceVersion:
+    return _read_header(_tokenize(text))
+
+
+def parse(text: str) -> Circuit:
+    tokens = _tokenize(text)
+    version = _read_header(tokens)
+    return _Parser(list(tokens), version).parse_program()
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
 _CONSTANTS = {"pi": math.pi}
-
-
-@dataclass
-class _GateMacro:
-    params: list[str]
-    qargs: list[str]
-    # body statements: (name, param_exprs, qarg names)
-    body: list[tuple[str, list, list[str], _Token]]
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+# Parentheses and signs nest by recursion; this bound keeps it off Python's stack limit.
+_MAX_NESTING = 100
+# Per kind, summed over registers: broadcasts and `barrier;` list every bit.
+_MAX_BITS = 1 << 16
+_REGISTER_KINDS = {"qreg": "quantum", "qubit": "quantum", "creg": "classical", "bit": "classical"}
 
 
 class _Parser:
@@ -154,12 +138,12 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.version = version
-        self.qregs: dict[str, tuple[int, int]] = {}  # name -> (offset, size)
-        self.cregs: dict[str, tuple[int, int]] = {}
-        self.num_qubits = 0
-        self.num_clbits = 0
-        self.macros: dict[str, _GateMacro] = {}
+        self.registers: dict[str, tuple[str, int, int]] = {}  # name -> (kind, offset, size)
+        self.width = {"quantum": 0, "classical": 0}
+        # name -> (params, qargs, body of (gate token, param code, qarg names))
+        self.macros: dict[str, tuple[list[str], list[str], list]] = {}
         self.instructions: list = []
+        self.nesting = 0
 
     # -- token helpers ------------------------------------------------------
     def peek(self) -> _Token:
@@ -177,144 +161,132 @@ class _Parser:
             raise ParseError(tok.line, tok.col, f"expected {want!r}, got {tok.value!r}")
         return tok
 
-    def accept(self, kind: str, value: str | None = None) -> _Token | None:
-        tok = self.peek()
-        if tok.kind == kind and (value is None or tok.value == value):
-            return self.next()
+    def accept(self, *symbols: str) -> _Token | None:
+        tok = self.tokens[self.pos]
+        if tok.kind == "sym" and tok.value in symbols:
+            self.pos += 1
+            return tok
         return None
 
     def error(self, tok: _Token, message: str, kind: str = "syntax"):
         raise ParseError(tok.line, tok.col, message, kind)
 
-    def expect_int(self) -> int:
-        """A register size or index: a plain non-negative integer literal."""
+    def items(self, item: Callable, end: str) -> list:
+        """`item (, item)* end`."""
+        found = [item()]
+        while not self.accept(end):
+            if not self.accept(","):
+                tok = self.peek()
+                self.error(tok, f"expected ',' or {end!r}, got {tok.value!r}")
+            found.append(item())
+        return found
+
+    def paren_items(self, item: Callable) -> list:
+        """`( item (, item)* )`, `()` or nothing."""
+        if self.accept("(") and not self.accept(")"):
+            return self.items(item, ")")
+        return []
+
+    def index(self) -> int:
+        """`[n]`, n a plain non-negative integer literal: a register size or index."""
+        self.expect("sym", "[")
         tok = self.expect("num")
         if not tok.value.isdigit():
             self.error(tok, f"expected an integer, got {tok.value!r}")
+        self.expect("sym", "]")
         return int(tok.value)
 
-    # -- expressions --------------------------------------------------------
-    def parse_expr(self):
-        return self._parse_additive()
+    # -- expressions, compiled to postfix code ------------------------------
+    def parse_expr(self, code: list) -> list:
+        self.parse_term(code)
+        while tok := self.accept("+", "-"):
+            self.parse_term(code)
+            code.append((tok.value, tok))
+        return code
 
-    def _parse_additive(self):
-        node = self._parse_multiplicative()
-        while True:
-            if self.accept("sym", "+"):
-                node = ("+", node, self._parse_multiplicative())
-            elif self.accept("sym", "-"):
-                node = ("-", node, self._parse_multiplicative())
-            else:
-                return node
+    def parse_term(self, code: list):
+        self.parse_unary(code)
+        while tok := self.accept("*", "/"):
+            self.parse_unary(code)
+            code.append((tok.value, tok))
 
-    def _parse_multiplicative(self):
-        node = self._parse_unary()
-        while True:
-            if self.accept("sym", "*"):
-                node = ("*", node, self._parse_unary())
-            elif tok := self.accept("sym", "/"):
-                node = ("/", node, self._parse_unary(), tok)
-            else:
-                return node
-
-    def _parse_unary(self):
-        if self.accept("sym", "-"):
-            return ("neg", self._parse_unary())
-        if self.accept("sym", "+"):
-            return self._parse_unary()
+    def parse_unary(self, code: list):
         tok = self.next()
         if tok.kind == "num":
-            return ("lit", float(tok.value))
-        if tok.kind == "id":
-            return ("name", tok.value, tok)
-        if tok.kind == "sym" and tok.value == "(":
-            node = self.parse_expr()
-            self.expect("sym", ")")
-            return node
-        self.error(tok, f"expected expression, got {tok.value!r}")
+            code.append(("lit", float(tok.value)))
+        elif tok.kind == "id":
+            code.append(("name", tok))
+        elif tok.kind == "sym" and tok.value in ("-", "+", "("):
+            self.nesting += 1
+            if self.nesting > _MAX_NESTING:
+                self.error(tok, f"expression nested more than {_MAX_NESTING} deep",
+                           "unsupported-feature")
+            if tok.value == "(":
+                self.parse_expr(code)
+                self.expect("sym", ")")
+            else:
+                self.parse_unary(code)
+                if tok.value == "-":
+                    code.append(("neg", tok))
+            self.nesting -= 1
+        else:
+            self.error(tok, f"expected expression, got {tok.value!r}")
 
     @staticmethod
-    def eval_expr(node, env: dict[str, float]) -> float:
-        op = node[0]
-        if op == "lit":
-            return node[1]
-        if op == "name":
-            name, tok = node[1], node[2]
-            if name in env:
-                return env[name]
-            if name in _CONSTANTS:
-                return _CONSTANTS[name]
-            raise ParseError(tok.line, tok.col, f"unknown identifier {name!r} in expression")
-        if op == "neg":
-            return -_Parser.eval_expr(node[1], env)
-        a = _Parser.eval_expr(node[1], env)
-        b = _Parser.eval_expr(node[2], env)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if b == 0.0:
-                tok = node[3]
-                raise ParseError(tok.line, tok.col, "division by zero in expression", "value")
-            return a / b
-        raise AssertionError(op)
+    def eval_expr(code: list, env: dict[str, float]) -> float:
+        stack: list[float] = []
+        for op, arg in code:
+            if op == "lit":
+                stack.append(arg)
+            elif op == "name":
+                value = env.get(arg.value, _CONSTANTS.get(arg.value))
+                if value is None:
+                    raise ParseError(arg.line, arg.col,
+                                     f"unknown identifier {arg.value!r} in expression")
+                stack.append(value)
+            elif op == "neg":
+                stack[-1] = -stack[-1]
+            else:
+                b = stack.pop()
+                if op == "/" and b == 0.0:
+                    raise ParseError(arg.line, arg.col, "division by zero in expression", "value")
+                stack[-1] = _BINARY[op](stack[-1], b)
+        return stack[0]
 
-    # -- declarations -------------------------------------------------------
-    def declare_qreg(self, name: str, size: int, tok: _Token):
-        if name in self.qregs or name in self.cregs:
-            self.error(tok, f"register {name!r} already declared")
-        self.qregs[name] = (self.num_qubits, size)
-        self.num_qubits += size
+    # -- registers ----------------------------------------------------------
+    def declare(self, kind: str, tok: _Token, size: int):
+        if tok.value in self.registers:
+            self.error(tok, f"register {tok.value!r} already declared")
+        if self.width[kind] + size > _MAX_BITS:
+            self.error(tok, f"more than {_MAX_BITS} {kind} bits declared", "unsupported-feature")
+        self.registers[tok.value] = (kind, self.width[kind], size)
+        self.width[kind] += size
 
-    def declare_creg(self, name: str, size: int, tok: _Token):
-        if name in self.qregs or name in self.cregs:
-            self.error(tok, f"register {name!r} already declared")
-        self.cregs[name] = (self.num_clbits, size)
-        self.num_clbits += size
-
-    def qubit_operand(self) -> tuple[str, int | None, _Token]:
+    def operand(self) -> tuple[_Token, int | None]:
         tok = self.expect("id")
-        if self.accept("sym", "["):
-            idx = self.expect_int()
-            self.expect("sym", "]")
-            return tok.value, idx, tok
-        return tok.value, None, tok
+        return tok, (self.index() if self.peek()[:2] == ("sym", "[") else None)
 
-    def resolve_q(self, name: str, idx: int | None, tok: _Token) -> list[int]:
-        if name not in self.qregs:
-            self.error(tok, f"unknown quantum register {name!r}")
-        off, size = self.qregs[name]
+    def resolve(self, kind: str, operand: tuple[_Token, int | None]) -> list[int]:
+        tok, idx = operand
+        reg_kind, offset, size = self.registers.get(tok.value, (None, 0, 0))
+        if reg_kind != kind:
+            self.error(tok, f"unknown {kind} register {tok.value!r}")
         if idx is None:
-            return [off + i for i in range(size)]
+            return list(range(offset, offset + size))
         if not 0 <= idx < size:
-            self.error(tok, f"index {idx} out of range for {name!r}[{size}]", "index-range")
-        return [off + idx]
-
-    def resolve_c(self, name: str, idx: int | None, tok: _Token) -> list[int]:
-        if name not in self.cregs:
-            self.error(tok, f"unknown classical register {name!r}")
-        off, size = self.cregs[name]
-        if idx is None:
-            return [off + i for i in range(size)]
-        if not 0 <= idx < size:
-            self.error(tok, f"index {idx} out of range for {name!r}[{size}]", "index-range")
-        return [off + idx]
+            self.error(tok, f"index {idx} out of range for {tok.value!r}[{size}]", "index-range")
+        return [offset + idx]
 
     # -- statements ---------------------------------------------------------
     def parse_program(self) -> Circuit:
-        self.expect("id", "OPENQASM")
-        self.expect("num")
-        self.expect("sym", ";")
         while self.peek().kind != "eof":
             self.parse_statement()
+        quantum = [name for name, reg in self.registers.items() if reg[0] == "quantum"]
         circuit = Circuit(
-            num_qubits=max(self.num_qubits, 1),
-            num_clbits=self.num_clbits,
+            num_qubits=max(self.width["quantum"], 1),
+            num_clbits=self.width["classical"],
             instructions=tuple(self.instructions),
-            register_names=tuple(self.qregs) or ("q",),
+            register_names=tuple(quantum) or ("q",),
         )
         circuit.validate()
         return circuit
@@ -328,92 +300,68 @@ class _Parser:
             self.next()
             self.expect("str")
             self.expect("sym", ";")
-            return
-        if name == "qreg":
+        elif name in ("qreg", "creg") or (
+            name in ("qubit", "bit") and self.version is SourceVersion.Qasm3
+        ):
             self.next()
-            reg = self.expect("id")
-            self.expect("sym", "[")
-            size = self.expect_int()
-            self.expect("sym", "]")
+            if name.endswith("reg"):  # qreg q[2];
+                reg, size = self.expect("id"), self.index()
+            else:  # qubit[2] q;
+                size, reg = self.index(), self.expect("id")
             self.expect("sym", ";")
-            self.declare_qreg(reg.value, size, reg)
-            return
-        if name == "creg":
-            self.next()
-            reg = self.expect("id")
-            self.expect("sym", "[")
-            size = self.expect_int()
-            self.expect("sym", "]")
-            self.expect("sym", ";")
-            self.declare_creg(reg.value, size, reg)
-            return
-        if name in ("qubit", "bit") and self.version is SourceVersion.Qasm3:
-            self.next()
-            self.expect("sym", "[")
-            size = self.expect_int()
-            self.expect("sym", "]")
-            reg = self.expect("id")
-            self.expect("sym", ";")
-            if name == "qubit":
-                self.declare_qreg(reg.value, size, reg)
-            else:
-                self.declare_creg(reg.value, size, reg)
-            return
-        if name == "opaque":
+            self.declare(_REGISTER_KINDS[name], reg, size)
+        elif name == "opaque":
             self.error(tok, "opaque declarations are not supported", "unsupported-feature")
-        if name in ("if", "for", "while", "def", "defcal", "cal", "switch"):
+        elif name in ("if", "for", "while", "def", "defcal", "cal", "switch"):
             self.error(tok, f"{name!r} (control flow) is not supported", "unsupported-feature")
-        if name == "gate":
+        elif name == "gate":
             self.parse_gate_def()
-            return
-        if name == "measure":
+        elif name == "measure":
             self.next()
-            qn, qi, qt = self.qubit_operand()
+            q = self.operand()
             self.expect("sym", "->")
-            cn, ci, ct = self.qubit_operand()
+            c = self.operand()
             self.expect("sym", ";")
-            self.emit_measure(qn, qi, qt, cn, ci, ct)
-            return
-        if name == "barrier":
+            self.measure(q, c)
+        elif name == "barrier":
             self.next()
-            qubits: list[int] = []
-            if not self.accept("sym", ";"):
-                while True:
-                    qn, qi, qt = self.qubit_operand()
-                    qubits.extend(self.resolve_q(qn, qi, qt))
-                    if self.accept("sym", ";"):
-                        break
-                    self.expect("sym", ",")
+            if self.accept(";"):
+                qubits = range(self.width["quantum"])  # every declared qubit
             else:
-                for off, size in self.qregs.values():
-                    qubits.extend(range(off, off + size))
+                qubits = {}
+                for op_tok, new in self.items(self.resolved_operand, ";"):
+                    if any(q in qubits for q in new):
+                        self.error(op_tok, "barrier repeats a qubit", "repeated-qubit")
+                    qubits.update(dict.fromkeys(new))
             self.instructions.append(Barrier(tuple(qubits)))
-            return
-        if name == "reset":
+        elif name == "reset":
             self.next()
-            qn, qi, qt = self.qubit_operand()
+            q = self.operand()
             self.expect("sym", ";")
-            for q in self.resolve_q(qn, qi, qt):
-                self.instructions.append(Reset(q))
-            return
-        # QASM 3 measure-assignment: c[j] = measure q[i];
-        if self.version is SourceVersion.Qasm3 and name in self.cregs:
-            cn, ci, ct = self.qubit_operand()
+            self.instructions.extend(map(Reset, self.resolve("quantum", q)))
+        elif (
+            self.version is SourceVersion.Qasm3
+            and self.registers.get(name, ("",))[0] == "classical"
+        ):  # c[j] = measure q[i];
+            c = self.operand()
             self.expect("sym", "=")
             self.expect("id", "measure")
-            qn, qi, qt = self.qubit_operand()
+            q = self.operand()
             self.expect("sym", ";")
-            self.emit_measure(qn, qi, qt, cn, ci, ct)
-            return
-        self.parse_gate_application()
+            self.measure(q, c)
+        else:
+            self.parse_gate_application()
 
-    def emit_measure(self, qn, qi, qt, cn, ci, ct):
-        qs = self.resolve_q(qn, qi, qt)
-        cs = self.resolve_c(cn, ci, ct)
+    def resolved_operand(self) -> tuple[_Token, list[int]]:
+        op = self.operand()
+        return op[0], self.resolve("quantum", op)
+
+    def measure(self, q: tuple[_Token, int | None], c: tuple[_Token, int | None]):
+        qs = self.resolve("quantum", q)
+        cs = self.resolve("classical", c)
         if len(qs) != len(cs):
-            self.error(qt, "measure broadcast width mismatch", "arity")
-        for q, c in zip(qs, cs):
-            self.instructions.append(Measure(q, c))
+            self.error(q[0], "measure broadcast width mismatch", "arity")
+        self.instructions.extend(map(Measure, qs, cs))
 
     def parse_gate_def(self):
         self.expect("id", "gate")
@@ -421,62 +369,33 @@ class _Parser:
         name = name_tok.value
         if name in GATE_SIGNATURES or name in self.macros:
             self.error(name_tok, f"gate {name!r} already defined")
-        params: list[str] = []
-        if self.accept("sym", "("):
-            if not self.accept("sym", ")"):
-                while True:
-                    params.append(self.expect("id").value)
-                    if self.accept("sym", ")"):
-                        break
-                    self.expect("sym", ",")
-        qargs = [self.expect("id").value]
-        while self.accept("sym", ","):
-            qargs.append(self.expect("id").value)
-        self.expect("sym", "{")
-        body: list[tuple[str, list, list[str], _Token]] = []
-        while not self.accept("sym", "}"):
+        params = self.paren_items(lambda: self.expect("id").value)
+        qargs = self.items(lambda: self.expect("id").value, "{")
+        body = []
+        while not self.accept("}"):
             g = self.expect("id")
             if g.value == "barrier":
                 # barriers in macro bodies are ignored structurally
-                while not self.accept("sym", ";"):
+                while not self.accept(";"):
+                    if self.peek().kind == "eof":
+                        self.expect("sym", ";")  # raises: the input ends inside the body
                     self.next()
                 continue
-            exprs: list = []
-            if self.accept("sym", "("):
-                if not self.accept("sym", ")"):
-                    while True:
-                        exprs.append(self.parse_expr())
-                        if self.accept("sym", ")"):
-                            break
-                        self.expect("sym", ",")
-            args = [self.expect("id").value]
-            while self.accept("sym", ","):
-                args.append(self.expect("id").value)
-            self.expect("sym", ";")
+            exprs = self.paren_items(lambda: self.parse_expr([]))
+            args = self.items(lambda: self.expect("id").value, ";")
             if g.value not in GATE_SIGNATURES and g.value not in self.macros:
                 self.error(g, f"unknown gate {g.value!r} in gate body", "unknown-gate")
-            body.append((g.value, exprs, args, g))
-        self.macros[name] = _GateMacro(params, qargs, body)
+            body.append((g, exprs, args))
+        self.macros[name] = (params, qargs, body)
 
     def parse_gate_application(self):
         name_tok = self.expect("id")
         name = name_tok.value
         if name not in GATE_SIGNATURES and name not in self.macros:
             self.error(name_tok, f"unknown gate {name!r}", "unknown-gate")
-        exprs: list = []
-        if self.accept("sym", "("):
-            if not self.accept("sym", ")"):
-                while True:
-                    exprs.append(self.parse_expr())
-                    if self.accept("sym", ")"):
-                        break
-                    self.expect("sym", ",")
-        params = [self.eval_expr(e, {}) for e in exprs]
-        operands: list[tuple[str, int | None, _Token]] = [self.qubit_operand()]
-        while self.accept("sym", ","):
-            operands.append(self.qubit_operand())
-        self.expect("sym", ";")
-        resolved = [self.resolve_q(qn, qi, qt) for qn, qi, qt in operands]
+        params = [self.eval_expr(e, {}) for e in self.paren_items(lambda: self.parse_expr([]))]
+        # All operands are read before any is resolved.
+        resolved = [self.resolve("quantum", op) for op in self.items(self.operand, ";")]
         # whole-register broadcast: all register operands must share a width
         widths = {len(r) for r in resolved if len(r) > 1}
         if len(widths) > 1:
@@ -488,18 +407,18 @@ class _Parser:
 
     def apply_gate(self, name: str, params: list[float], qubits: list[int], tok: _Token):
         if name in self.macros:
-            macro = self.macros[name]
-            if len(params) != len(macro.params) or len(qubits) != len(macro.qargs):
+            names, qargs, body = self.macros[name]
+            if len(params) != len(names) or len(qubits) != len(qargs):
                 self.error(tok, f"gate {name!r} argument count mismatch", "arity")
-            env = dict(zip(macro.params, params))
-            qmap = dict(zip(macro.qargs, qubits))
-            for gname, gexprs, gargs, gtok in macro.body:
+            env = dict(zip(names, params))
+            qmap = dict(zip(qargs, qubits))
+            for gtok, gexprs, gargs in body:
                 gparams = [self.eval_expr(e, env) for e in gexprs]
                 try:
                     gqubits = [qmap[a] for a in gargs]
                 except KeyError as exc:
                     self.error(gtok, f"unknown qubit argument {exc.args[0]!r}")
-                self.apply_gate(gname, gparams, gqubits, gtok)
+                self.apply_gate(gtok.value, gparams, gqubits, gtok)
             return
         nparams, arity = GATE_SIGNATURES[name]
         if len(params) != nparams:
@@ -508,13 +427,9 @@ class _Parser:
             self.error(tok, f"gate {name!r} has a non-finite parameter", "value")
         if len(qubits) != arity:
             self.error(tok, f"gate {name!r} expects {arity} qubit(s)", "arity")
+        if len(set(qubits)) != arity:
+            self.error(tok, f"gate {name!r} repeats a qubit", "repeated-qubit")
         self.instructions.append(StandardGate(name, tuple(params), tuple(qubits)))
-
-
-def parse(text: str) -> Circuit:
-    version = detect_version(text)
-    tokens = _tokenize(text.strip())
-    return _Parser(tokens, version).parse_program()
 
 
 # ---------------------------------------------------------------------------

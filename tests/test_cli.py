@@ -100,6 +100,9 @@ class TestObfuscate:
             ("qreg q[1.5];\n", "line 2, col 8"),
             ("qreg q[2];\nh q[1e3];\n", "line 3, col 5"),
             ("qreg q[1];\nrx(1e400) q[0];\n", "line 3, col 1"),
+            ("qreg q[2];\ncx q[0],q[0];\n", "line 3, col 1"),
+            ("qreg q[2];\nbarrier q, q[1];\n", "line 3, col 12"),
+            ("qreg q[1];\nrx(" + "(" * 400 + "1" + ")" * 400 + ") q[0];\n", "line 3, col 104"),
         ],
     )
     def test_numeric_faults_are_parse_errors(self, tmp_path, capsys, statement, where):
@@ -114,7 +117,7 @@ class TestObfuscate:
 
 class TestSimulate:
     def test_counts_json(self, tmp_path, bell_qasm, capsys):
-        rc = main(["simulate", "--in", bell_qasm, "--shots", "256", "--seed", "4", "--json"])
+        rc = main(["simulate", "--in", bell_qasm, "--shots", "256", "--seed", "4"])
         assert rc == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["shots"] == 256
@@ -127,10 +130,14 @@ class TestSimulate:
         assert sum(json.loads(out.read_text())["counts"].values()) == 64
 
     def test_seed_determinism(self, tmp_path, bell_qasm, capsys):
-        main(["simulate", "--in", bell_qasm, "--shots", "128", "--seed", "2", "--json"])
+        main(["simulate", "--in", bell_qasm, "--shots", "128", "--seed", "2"])
         a = capsys.readouterr().out
-        main(["simulate", "--in", bell_qasm, "--shots", "128", "--seed", "2", "--json"])
+        main(["simulate", "--in", bell_qasm, "--shots", "128", "--seed", "2"])
         assert capsys.readouterr().out == a
+
+    def test_environment_does_not_set_the_cap(self, bell_qasm, monkeypatch):
+        monkeypatch.setenv("QOBF_MAX_QUBITS", "abc")
+        assert main(["simulate", "--in", bell_qasm, "--shots", "8"]) == EXIT_OK
 
     def test_max_qubits_cap(self, tmp_path, capsys):
         big = tmp_path / "big.qasm"
@@ -195,6 +202,29 @@ class TestAnalyze:
         assert overhead["gate_count"] == gate_count(artifact)
         assert "projection" not in overhead and "depth_delta" not in overhead
 
+    @pytest.mark.parametrize(
+        "circuit_doc, key_doc",
+        [
+            ('{"format": "qobf-circuit", "version": 1, "num_qubits": 1, "num_clbits": 0,'
+             ' "instructions": [7]}', None),
+            ('{"format": "qobf-circuit", "version": 1, "num_qubits": 1, "num_clbits": 0,'
+             ' "instructions": [{"kind": "gate", "qubits": [0]}]}', None),
+            (None, '{"format": "qobf-key", "version": 1, "records": [7]}'),
+            (None, '{"format": "qobf-key", "version": 1, "records": []}'),
+        ],
+    )
+    def test_malformed_json_exits_3(self, tmp_path, bell_qasm, capsys, circuit_doc, key_doc):
+        args = ["analyze", "--in", bell_qasm]
+        if circuit_doc is not None:
+            (tmp_path / "c.json").write_text(circuit_doc)
+            args[2] = str(tmp_path / "c.json")
+        if key_doc is not None:
+            (tmp_path / "k.json").write_text(key_doc)
+            args += ["--key", str(tmp_path / "k.json")]
+        assert main(args) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+
     def test_corrupted_json_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"format": "qobf-circuit", "version": 1}')
@@ -205,7 +235,7 @@ class TestAnalyze:
 class TestBench:
     def test_small_bench_run(self, tmp_path, capsys):
         rc = main([
-            "bench", "--suite", "paper", "--modes", "global",
+            "bench", "--modes", "global",
             "--shots", "64", "--runs", "1", "--seed", "0", "--json",
         ])
         assert rc == EXIT_OK
@@ -218,6 +248,22 @@ class TestBench:
 
 
 class TestTopLevel:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "--suite", "paper"],
+            ["bench", "--max-qubits", "4"],
+            ["analyze", "--in", "x.qasm", "--seed", "1"],
+            ["analyze", "--in", "x.qasm", "--max-qubits", "4"],
+            ["obfuscate", "--in", "x.qasm", "--out", "y.json", "--max-qubits", "4"],
+            ["simulate", "--in", "x.qasm", "--json"],
+        ],
+    )
+    def test_unread_flags_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

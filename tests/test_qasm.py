@@ -53,6 +53,9 @@ class TestDetectVersion:
         with pytest.raises(ParseError):
             detect_version("qreg q[1];\n")
 
+    def test_reads_only_the_header(self):
+        assert detect_version("OPENQASM 2.0; $ /* unterminated") is SourceVersion.Qasm2
+
 
 class TestParse:
     def test_bell(self):
@@ -160,12 +163,90 @@ class TestParseErrors:
             ("qreg q[2];\nh q[1e3];\n", 3, 5, "syntax"),
             ("qreg q[2];\nh q[\u00b2];\n", 3, 5, "syntax"),
             ("qreg q\u00e9[2];\n", 2, 7, "syntax"),
+            ("qreg q[2];\ncx q[0],q[0];\n", 3, 1, "repeated-qubit"),
+            # through a macro: at the gate in the body
+            ("qreg q[2];\ngate g a, b { cx a, b; }\ng q[0], q[0];\n", 3, 15, "repeated-qubit"),
+            ("qreg q[2];\nbarrier q[0],q[0];\n", 3, 14, "repeated-qubit"),
+            ("qreg q[2];\nbarrier q, q[1];\n", 3, 12, "repeated-qubit"),
+            # the 101st nesting level: parentheses and signs
+            ("qreg q[1];\nrx(" + "(" * 400 + "1" + ")" * 400 + ") q[0];\n", 3, 104,
+             "unsupported-feature"),
+            ("qreg q[1];\nrx(" + "-" * 400 + "1) q[0];\n", 3, 104, "unsupported-feature"),
+            ("qreg q[1];\ngate g a { barrier a", 3, 21, "syntax"),
+            ("qreg q[60000];\nqreg r[6000];\n", 3, 6, "unsupported-feature"),
         ],
     )
     def test_numeric_and_character_faults_located(self, body, line, col, kind):
         with pytest.raises(ParseError) as exc:
             parse("OPENQASM 2.0;\n" + body)
         assert (exc.value.line, exc.value.column, exc.value.kind) == (line, col, kind)
+
+    def test_unterminated_literals(self):
+        for text, what in [("/* open", "block comment"), ('"open', "string literal")]:
+            with pytest.raises(ParseError) as exc:
+                parse("OPENQASM 2.0;\nqreg q[1];\n  " + text + "\n\n")
+            assert (exc.value.line, exc.value.column) == (3, 3)
+            assert exc.value.message == f"unterminated {what}"
+
+
+class TestInputConventions:
+    @pytest.mark.parametrize(
+        "text, line, col", [("qreg q[\u0663];\n", 2, 8), ("qreg q[2];\nh q[\uff11];\n", 3, 5)]
+    )
+    def test_non_ascii_digit_is_unexpected(self, text, line, col):
+        with pytest.raises(ParseError) as exc:
+            parse("OPENQASM 2.0;\n" + text)
+        assert exc.value.message.startswith("unexpected character")
+        assert (exc.value.line, exc.value.column) == (line, col)
+
+    def test_comments_and_blank_lines_before_header(self):
+        head = "\n// a comment\n/* and\n a block */\n  OPENQASM 2.0;\n"
+        assert parse(head + "qreg q[1];\nx q[0];\n").instructions == parse(
+            "OPENQASM 2.0;\nqreg q[1];\nx q[0];\n").instructions
+        with pytest.raises(ParseError) as exc:
+            parse(head + "qreg q[1];\nzorp q[0];\n")
+        assert (exc.value.line, exc.value.column) == (7, 1)  # the file's own line
+
+    @pytest.mark.parametrize(
+        "text, line, col",
+        [
+            ("// c\nOPENQASM 4.0;\n", 2, 10),
+            ("OPENQASM 2.0\nqreg q[1];\n", 2, 1),
+            ("\n\nqreg q[1];\n", 3, 1),
+            ("OPENQASM", 1, 9),
+        ],
+    )
+    def test_header_fault_at_offending_token(self, text, line, col):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.column, exc.value.kind) == (line, col, "unknown-version")
+
+    def test_end_of_file_error_after_final_newline(self):
+        with pytest.raises(ParseError) as exc:
+            parse("OPENQASM 2.0;\nqreg q[1];\nx q[0]\n\n")
+        assert (exc.value.line, exc.value.column) == (5, 1)
+
+
+QASM_ALPHABET = [
+    "OPENQASM", "2.0", "3", "include", '"qelib1.inc"', '"', "qreg", "creg", "qubit", "bit",
+    "q", "c", "a", "gate", "measure", "reset", "barrier", "opaque", "if", "h", "cx", "rz",
+    "u3", "ccx", "pi", "0", "1", "2", ".5", "1e3", "[", "]", "(", ")", "{", "}", ";", ",",
+    "->", "=", "==", "+", "-", "*", "/", "//", "/*", "*/", " ", "\n", "\t", "\r",
+    "\u00e9", "\u0663", "\uff11", "\u00a0",
+]
+
+
+class TestFuzz:
+    @given(
+        st.sampled_from(["", "OPENQASM 2.0;\nqreg q[3];\ncreg c[3];\n", "OPENQASM 3;\n"]),
+        st.lists(st.sampled_from(QASM_ALPHABET), max_size=60),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_parse_raises_only_parse_errors(self, head, words):
+        try:
+            parse(head + "".join(words))
+        except ParseError:
+            pass
 
 
 def generated_qasm(seed: int, gates: int) -> str:
@@ -201,7 +282,7 @@ class TestTokenizer:
         # SHA-256 of (kind, value, line, col) per token, computed with the
         # slicing tokenizer this one replaced.
         text = generated_qasm(5, 600)
-        tokens = _tokenize(text)
+        tokens = list(_tokenize(text))
         h = hashlib.sha256()
         for t in tokens:
             h.update(f"{t.kind}\x00{t.value}\x00{t.line}\x00{t.col}\n".encode())
@@ -210,6 +291,51 @@ class TestTokenizer:
             "e5406d8aa770d640a5ec68c2392667e0bd6033b8bc3413c55ae0ccd4ddfeb1ef"
         )
         parse(text)
+
+
+HAND_WRITTEN = [
+    # QASM 3 declarations, measure-assignment, whole-register reset and barrier
+    "OPENQASM 3.0;\nqubit[3] q;\nbit[3] c;\nqubit[1] anc;\nh q;\ncx q[0], anc[0];\n"
+    "c[1] = measure q[1];\nmeasure q[2] -> c[2];\nreset anc;\nbarrier q, anc;\n",
+    "OPENQASM 3;\nbit[2] c;\nqubit[2] q;\nc = measure q;\n",
+    # nested macros, parameter expressions, macro broadcast, barrier in a body
+    "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\n"
+    "gate inner(t) a { rz(t/2) a; sdg a; }\n"
+    "gate outer(t, u) a, b { inner(-t) a; barrier a, b; rzz(u*t) a, b; swap b, a; inner(t+u) b; }\n"
+    "gate noargs a { h a; }\n"
+    "outer(pi/3, 0.25) q[0], q[2];\nnoargs q;\nqreg r[1];\nouter(1e-3, -(2+pi)/4) q, r[0];\n",
+    # register broadcast between registers, with classical broadcast
+    "OPENQASM 2.0;\nqreg a[3];\nqreg b[3];\ncreg c[3];\ncreg d[1];\n"
+    "cx a, b;\ncx a[0], b;\nrz(pi/3) a;\nqreg e[1];\nccx a, b, e[0];\nmeasure b -> c;\nmeasure a[1] -> d[0];\n",
+    # barriers: bare, partial, whole registers
+    "OPENQASM 2.0;\nqreg a[2];\nqreg b[2];\nh a;\nbarrier;\nbarrier a, b[1];\nreset b;\nbarrier b;\n",
+    # comments and line endings everywhere, no final newline
+    "OPENQASM 2.0; // header\r\n/* a\r\n block */ qreg /* in */ q[2]; creg c[2];\r\n"
+    "u3( 0.1 , /* x */ -.5e+1 , 3E0 ) q[1];// t\ncx q[0] , q[1] ;\n\n\t measure q -> c;",
+    # expression precedence and unary signs
+    "OPENQASM 2.0;\nqreg q[1];\nrx(-pi + 2*pi/3 - -1) q[0];\nry(+(1 - 2) * (3 + 4) / 5) q[0];\n"
+    "u(1,2,3) q[0];\nu2(pi, -pi) q[0];\nu1(0) q[0];\n",
+    # no registers at all
+    "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n",
+]
+
+
+def parse_digest(texts) -> str:
+    h = hashlib.sha256()
+    for text in texts:
+        c = parse(text)
+        h.update(repr((c.num_qubits, c.num_clbits, c.register_names, c.instructions)).encode())
+    return h.hexdigest()
+
+
+class TestParseGolden:
+    def test_parse_digest_pinned(self):
+        # SHA-256 of (num_qubits, num_clbits, register_names, instructions) per
+        # file, computed before the tokenizer and parser were rewritten.
+        texts = [generated_qasm(seed, 150) for seed in range(6)] + HAND_WRITTEN
+        assert parse_digest(texts) == (
+            "045e15f9ac0b4afe51e2c38021e637c32899094d52700af1c4afd0f9911774b6"
+        )
 
 
 class TestZyz:
