@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -193,34 +193,29 @@ class Circuit:
         if self.num_clbits < 0:
             raise CircuitError("num_clbits must be non-negative")
         object.__setattr__(self, "instructions", tuple(self.instructions))
+        self.validate()
 
-    def validate(self) -> list[str]:
-        """Check index ranges, gate signatures and arity; return non-fatal warnings.
+    def validate(self):
+        """Check instruction types, index ranges, gate signatures and arity.
 
-        Gates are checked against ``GATE_SIGNATURES`` and for finite
-        parameters; no matrix is built.
+        Runs once, at construction, so no malformed circuit exists. Gates are
+        checked against ``GATE_SIGNATURES`` and for finite parameters; no
+        matrix is built.
         """
-        warnings: list[str] = []
-        written: dict[int, int] = {}
         for i, instr in enumerate(self.instructions):
             if isinstance(instr, (StandardGate, OpaqueUnitary, Barrier)):
                 qubits = instr.qubits
             elif isinstance(instr, (Measure, Reset)):
                 qubits = (instr.qubit,)
+            else:
+                raise CircuitError(f"instruction {i}: {instr!r} is not an instruction")
             if len(set(qubits)) != len(qubits):
                 raise CircuitError(f"instruction {i}: repeated qubit in {qubits}")
             for q in qubits:
                 if not 0 <= q < self.num_qubits:
                     raise CircuitError(f"instruction {i}: qubit {q} out of range")
-            if isinstance(instr, Measure):
-                if not 0 <= instr.clbit < self.num_clbits:
-                    raise CircuitError(f"instruction {i}: clbit {instr.clbit} out of range")
-                if instr.clbit in written:
-                    warnings.append(
-                        f"clbit {instr.clbit} overwritten at instruction {i} "
-                        f"(previously written at {written[instr.clbit]})"
-                    )
-                written[instr.clbit] = i
+            if isinstance(instr, Measure) and not 0 <= instr.clbit < self.num_clbits:
+                raise CircuitError(f"instruction {i}: clbit {instr.clbit} out of range")
             if isinstance(instr, StandardGate):
                 _check_signature(instr.name, len(instr.params))
                 if len(instr.qubits) != GATE_SIGNATURES[instr.name][1]:
@@ -231,7 +226,6 @@ class Circuit:
                     raise CircuitError(
                         f"instruction {i}: gate {instr.name!r} has a non-finite parameter"
                     )
-        return warnings
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,28 @@ class SchemaError(ValueError):
     pass
 
 
+# Field checks shared by the circuit and key readers, JSON types only: a boolean
+# is not an int, a numeric string is not a number. They run for every instruction
+# and key record, so a message and its location prefix `at` are built on failure.
+_INT, _NUM, _STR = (int,), (int, float), (str,)
+
+
+def _value(v, types: tuple, what: str, at: str = ""):
+    if type(v) not in types:
+        raise SchemaError(f"{at}{what} must be {' or '.join(t.__name__ for t in types)}")
+    return v
+
+
+def _values(v, types: tuple, what: str, at: str = "") -> tuple:
+    if type(v) is list:
+        for x in v:
+            if type(x) not in types:
+                break
+        else:
+            return tuple(v)
+    raise SchemaError(f"{at}{what} must be a list of {' or '.join(t.__name__ for t in types)}")
+
+
 def _matrix_to_json(m: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
@@ -85,41 +107,42 @@ def circuit_from_dict(doc: dict) -> Circuit:
     instructions = []
     try:
         for i, entry in enumerate(doc.get("instructions", [])):
+            at = f"instruction {i}: "
             if not isinstance(entry, dict):
-                raise SchemaError(f"instruction {i}: not an object")
+                raise SchemaError(f"{at}not an object")
             kind = entry.get("kind")
             if kind == "gate":
-                instructions.append(
-                    StandardGate(
-                        entry["name"],
-                        tuple(float(p) for p in entry.get("params", [])),
-                        tuple(int(q) for q in entry["qubits"]),
-                    )
-                )
+                instructions.append(StandardGate(
+                    _value(entry["name"], _STR, "name", at),
+                    tuple(map(float, _values(entry.get("params", []), _NUM, "params", at))),
+                    _values(entry["qubits"], _INT, "qubits", at),
+                ))
             elif kind == "unitary":
-                m = _matrix_from_json(entry["matrix"])
-                instructions.append(
-                    OpaqueUnitary(entry["label"], tuple(int(q) for q in entry["qubits"]), m)
-                )
+                instructions.append(OpaqueUnitary(
+                    _value(entry["label"], _STR, "label", at),
+                    _values(entry["qubits"], _INT, "qubits", at),
+                    _matrix_from_json(entry["matrix"]),
+                ))
             elif kind == "measure":
-                instructions.append(Measure(int(entry["qubit"]), int(entry["clbit"])))
+                instructions.append(Measure(
+                    _value(entry["qubit"], _INT, "qubit", at),
+                    _value(entry["clbit"], _INT, "clbit", at),
+                ))
             elif kind == "reset":
-                instructions.append(Reset(int(entry["qubit"])))
+                instructions.append(Reset(_value(entry["qubit"], _INT, "qubit", at)))
             elif kind == "barrier":
-                instructions.append(Barrier(tuple(int(q) for q in entry["qubits"])))
+                instructions.append(Barrier(_values(entry["qubits"], _INT, "qubits", at)))
             else:
-                raise SchemaError(f"instruction {i}: unknown kind {kind!r}")
-        circuit = Circuit(
-            num_qubits=int(doc["num_qubits"]),
-            num_clbits=int(doc["num_clbits"]),
+                raise SchemaError(f"{at}unknown kind {kind!r}")
+        return Circuit(
+            num_qubits=_value(doc["num_qubits"], _INT, "num_qubits"),
+            num_clbits=_value(doc["num_clbits"], _INT, "num_clbits"),
             instructions=tuple(instructions),
         )
-        circuit.validate()
     except KeyError as exc:
         raise SchemaError(f"missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(str(exc)) from exc
-    return circuit
 
 
 def write_json(c: Circuit) -> str:

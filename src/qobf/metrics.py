@@ -4,12 +4,12 @@ structural overhead, and timed circuit comparison.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .circuit import Barrier, Circuit, depth, gate_count, segment, windowed_segments
-from .simulate import Counts, run
+from .simulate import DEFAULT_MAX_QUBITS, Counts, run
 
 
 class MetricsError(ValueError):
@@ -28,16 +28,7 @@ class ComparisonReport:
     runs: int
 
     def to_dict(self) -> dict:
-        return {
-            "semantic_accuracy_percent": self.semantic_accuracy_percent,
-            "tvd": self.tvd,
-            "original_runtime_seconds": self.original_runtime_seconds,
-            "obfuscated_runtime_seconds": self.obfuscated_runtime_seconds,
-            "original_runtime_min_seconds": self.original_runtime_min_seconds,
-            "obfuscated_runtime_min_seconds": self.obfuscated_runtime_min_seconds,
-            "shots": self.shots,
-            "runs": self.runs,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -54,18 +45,12 @@ class OverheadReport:
     consistent: bool
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "windows": self.windows,
-            "pre_fusion_count": self.pre_fusion_count,
-            "final_count": self.final_count,
-            "measured_count": self.measured_count,
-            "depth_original": self.depth_original,
-            "depth_obfuscated": self.depth_obfuscated,
-            "depth_delta": self.depth_delta,
-            "consistent": self.consistent,
-        }
+        return asdict(self)
+
+
+def closed_form_counts(m: int, n: int, w: int) -> tuple[int, int]:
+    """Global/chained gate counts for w windows: (3m + 2nw pre-fusion, m + 2nw final)."""
+    return 3 * m + 2 * n * w, m + 2 * n * w
 
 
 def semantic_accuracy(original: Counts, obfuscated: Counts) -> float:
@@ -110,11 +95,11 @@ def overhead(
 ) -> OverheadReport:
     """Structural overhead report; cross-checks the closed-form counts.
 
-    Global and chained modes add one basis layer and one inverse layer of n
-    gates per window (``windowed_segments``): m + 2nw gates after fusion,
-    3m + 2nw before, for w windows. A single window on a barrier-free circuit
-    also adds exactly 2 to the depth. ``consistent`` records whether the
-    measured structure matches these forms (pass ``mode`` to enable the check).
+    Global and chained modes open one basis window per ``windowed_segments``
+    entry; ``closed_form_counts`` gives the gate counts for w windows. A
+    single window on a barrier-free circuit also adds exactly 2 to the depth.
+    ``consistent`` records whether the measured structure matches these forms
+    (pass ``mode`` to enable the check).
     """
     if original.num_qubits != obfuscated.num_qubits:
         raise MetricsError("circuits act on different register sizes")
@@ -124,20 +109,21 @@ def overhead(
     d_orig = depth(original)
     d_obf = depth(obfuscated)
     w = sum(windowed_segments(original, segment(original)))
+    pre_fusion, final = closed_form_counts(m, n, w)
     consistent = True
     if mode in ("global", "chained"):
         depth_checked = w == 1 and not any(
             isinstance(i, Barrier) for i in original.instructions
         )
-        consistent = measured == m + 2 * n * w and (
+        consistent = measured == final and (
             not depth_checked or d_obf - d_orig == 2
         )
     return OverheadReport(
         m=m,
         n=n,
         windows=w,
-        pre_fusion_count=3 * m + 2 * n * w,
-        final_count=m + 2 * n * w,
+        pre_fusion_count=pre_fusion,
+        final_count=final,
         measured_count=measured,
         depth_original=d_orig,
         depth_obfuscated=d_obf,
@@ -152,7 +138,7 @@ def timed_compare(
     shots: int = 1024,
     runs: int = 1,
     seed: int = 0,
-    max_qubits: int | None = None,
+    max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> ComparisonReport:
     """Run both circuits repeatedly; average accuracy, TVD, and simulate time.
 
@@ -161,14 +147,13 @@ def timed_compare(
     """
     if runs < 1:
         raise MetricsError("runs must be >= 1")
-    kwargs = {} if max_qubits is None else {"max_qubits": max_qubits}
     child_seeds = np.random.SeedSequence(seed).generate_state(2 * runs)
     acc, dist, t_orig, t_obf = [], [], [], []
     for i in range(runs):
         t0 = time.perf_counter()
-        c_orig = run(original, shots, seed=int(child_seeds[2 * i]), **kwargs)
+        c_orig = run(original, shots, seed=int(child_seeds[2 * i]), max_qubits=max_qubits)
         t1 = time.perf_counter()
-        c_obf = run(obfuscated, shots, seed=int(child_seeds[2 * i + 1]), **kwargs)
+        c_obf = run(obfuscated, shots, seed=int(child_seeds[2 * i + 1]), max_qubits=max_qubits)
         t2 = time.perf_counter()
         t_orig.append(t1 - t0)
         t_obf.append(t2 - t1)

@@ -40,7 +40,7 @@ from .circuit import (
     standard_gate_matrix,
     windowed_segments,
 )
-from .jsonio import KEY_FORMAT, FORMAT_VERSION, SchemaError
+from .jsonio import _INT, _NUM, _STR, KEY_FORMAT, FORMAT_VERSION, SchemaError, _value, _values
 from .linalg import (
     TWO_PI,
     U3Params,
@@ -162,7 +162,6 @@ def obfuscate(
     ``global_params`` pins the sampled basis of every segment in global mode
     (used by the fixed-key case study); the key records it like any sample.
     """
-    c.validate()
     rng = np.random.default_rng(seed)
     m = gate_count(c)
     if mode is ObfuscationMode.SUBSET:
@@ -259,7 +258,6 @@ def obfuscate(
         protected=protected,
     )
     obf = Circuit(c.num_qubits, c.num_clbits, tuple(out), c.register_names)
-    obf.validate()
     return ObfuscatedCircuit(obf, key)
 
 
@@ -326,9 +324,8 @@ def _params_to_json(p: U3Params) -> list[float]:
     return [p.theta, p.phi, p.lam]
 
 
-def _params_from_json(v) -> U3Params:
-    t, p, l = (float(x) for x in v)
-    return U3Params(t, p, l)
+def _params_from_json(v, what: str, at: str = "") -> U3Params:
+    return U3Params(*map(float, _values(v, _NUM, what, at)))
 
 
 def key_to_dict(key: ObfuscationKey) -> dict:
@@ -378,37 +375,39 @@ def key_from_dict(doc: dict) -> ObfuscationKey:
     boundaries = []
     try:
         for i, r in enumerate(doc.get("records", [])):
+            at = f"key record {i}: "
             if not isinstance(r, dict):
-                raise SchemaError(f"key record {i}: not an object")
+                raise SchemaError(f"{at}not an object")
             if r.get("kind") == "block":
-                blocks.append(
-                    BlockRecord(
-                        r["label"],
-                        int(r["gate_index"]),
-                        r["original"],
-                        tuple(int(q) for q in r["qubits"]),
-                        tuple(_params_from_json(t) for t in r["left"]),
-                        tuple(_params_from_json(t) for t in r["right"]),
-                    )
-                )
+                blocks.append(BlockRecord(
+                    _value(r["label"], _STR, "label", at),
+                    _value(r["gate_index"], _INT, "gate_index", at),
+                    _value(r["original"], _STR, "original", at),
+                    _values(r["qubits"], _INT, "qubits", at),
+                    tuple(_params_from_json(t, "left", at) for t in r["left"]),
+                    tuple(_params_from_json(t, "right", at) for t in r["right"]),
+                ))
             elif r.get("kind") == "boundary":
-                boundaries.append(
-                    BoundaryRecord(
-                        r["label"], int(r["segment"]), int(r["qubit"]),
-                        _params_from_json(r["params"]), r["role"],
-                    )
-                )
+                boundaries.append(BoundaryRecord(
+                    _value(r["label"], _STR, "label", at),
+                    _value(r["segment"], _INT, "segment", at),
+                    _value(r["qubit"], _INT, "qubit", at),
+                    _params_from_json(r["params"], "params", at),
+                    _value(r["role"], _STR, "role", at),
+                ))
             else:
                 raise SchemaError(f"unknown key record kind {r.get('kind')!r}")
         return ObfuscationKey(
-            seed=int(doc["seed"]),
-            mode=ObfuscationMode(doc["mode"]),
-            num_qubits=int(doc["num_qubits"]),
-            num_gates=int(doc["num_gates"]),
+            seed=_value(doc["seed"], _INT, "seed"),
+            mode=ObfuscationMode(_value(doc["mode"], _STR, "mode")),
+            num_qubits=_value(doc["num_qubits"], _INT, "num_qubits"),
+            num_gates=_value(doc["num_gates"], _INT, "num_gates"),
             blocks=tuple(blocks),
             boundaries=tuple(boundaries),
-            segment_params=tuple(_params_from_json(p) for p in doc.get("segment_params", [])),
-            protected=tuple(doc["protected"]) if "protected" in doc else None,
+            segment_params=tuple(
+                _params_from_json(p, "segment_params") for p in doc.get("segment_params", [])
+            ),
+            protected=_values(doc["protected"], _INT, "protected") if "protected" in doc else None,
         )
     except KeyError as exc:
         raise SchemaError(f"missing field {exc}") from exc

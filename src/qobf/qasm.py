@@ -130,6 +130,11 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operato
 _MAX_NESTING = 100
 # Per kind, summed over registers: broadcasts and `barrier;` list every bit.
 _MAX_BITS = 1 << 16
+# Gates produced by macro calls, summed over the file. Macros multiply: k
+# doubling macros turn one call into 2**k gates. 2**18 is 16x the largest
+# benchmark input (16k gates) and about 40 MB of instructions, far past what
+# the obfuscator and the 14-qubit simulator process in seconds.
+_MAX_EXPANDED = 1 << 18
 _REGISTER_KINDS = {"qreg": "quantum", "qubit": "quantum", "creg": "classical", "bit": "classical"}
 
 
@@ -140,10 +145,11 @@ class _Parser:
         self.version = version
         self.registers: dict[str, tuple[str, int, int]] = {}  # name -> (kind, offset, size)
         self.width = {"quantum": 0, "classical": 0}
-        # name -> (params, qargs, body of (gate token, param code, qarg names))
-        self.macros: dict[str, tuple[list[str], list[str], list]] = {}
+        # name -> (params, qargs, body of (gate token, param code, qarg names), gate count)
+        self.macros: dict[str, tuple[list[str], list[str], list, int]] = {}
         self.instructions: list = []
         self.nesting = 0
+        self.expanded = 0  # gates produced by macro calls so far
 
     # -- token helpers ------------------------------------------------------
     def peek(self) -> _Token:
@@ -282,14 +288,12 @@ class _Parser:
         while self.peek().kind != "eof":
             self.parse_statement()
         quantum = [name for name, reg in self.registers.items() if reg[0] == "quantum"]
-        circuit = Circuit(
+        return Circuit(
             num_qubits=max(self.width["quantum"], 1),
             num_clbits=self.width["classical"],
             instructions=tuple(self.instructions),
             register_names=tuple(quantum) or ("q",),
         )
-        circuit.validate()
-        return circuit
 
     def parse_statement(self):
         tok = self.peek()
@@ -386,7 +390,9 @@ class _Parser:
             if g.value not in GATE_SIGNATURES and g.value not in self.macros:
                 self.error(g, f"unknown gate {g.value!r} in gate body", "unknown-gate")
             body.append((g, exprs, args))
-        self.macros[name] = (params, qargs, body)
+        # A body calls only earlier gates, so its expanded size is known now.
+        count = sum(self.macros[g.value][3] if g.value in self.macros else 1 for g, _, _ in body)
+        self.macros[name] = (params, qargs, body, count)
 
     def parse_gate_application(self):
         name_tok = self.expect("id")
@@ -406,30 +412,42 @@ class _Parser:
             self.apply_gate(name, params, qubits, name_tok)
 
     def apply_gate(self, name: str, params: list[float], qubits: list[int], tok: _Token):
+        """Append the gate, or expand the macro from a stack of open bodies."""
         if name in self.macros:
-            names, qargs, body = self.macros[name]
-            if len(params) != len(names) or len(qubits) != len(qargs):
-                self.error(tok, f"gate {name!r} argument count mismatch", "arity")
-            env = dict(zip(names, params))
-            qmap = dict(zip(qargs, qubits))
-            for gtok, gexprs, gargs in body:
-                gparams = [self.eval_expr(e, env) for e in gexprs]
-                try:
-                    gqubits = [qmap[a] for a in gargs]
-                except KeyError as exc:
-                    self.error(gtok, f"unknown qubit argument {exc.args[0]!r}")
-                self.apply_gate(gtok.value, gparams, gqubits, gtok)
-            return
-        nparams, arity = GATE_SIGNATURES[name]
-        if len(params) != nparams:
-            self.error(tok, f"gate {name!r} expects {nparams} parameter(s)", "arity")
-        if not all(map(math.isfinite, params)):
-            self.error(tok, f"gate {name!r} has a non-finite parameter", "value")
-        if len(qubits) != arity:
-            self.error(tok, f"gate {name!r} expects {arity} qubit(s)", "arity")
-        if len(set(qubits)) != arity:
-            self.error(tok, f"gate {name!r} repeats a qubit", "repeated-qubit")
-        self.instructions.append(StandardGate(name, tuple(params), tuple(qubits)))
+            self.expanded += self.macros[name][3]
+            if self.expanded > _MAX_EXPANDED:
+                self.error(tok, f"call to {name!r} takes macro expansion past "
+                                f"{_MAX_EXPANDED} gates", "unsupported-feature")
+        frames: list = []  # (body iterator, parameter env, qubit map) per open macro
+        while True:
+            if name in self.macros:
+                names, qargs, body, _ = self.macros[name]
+                if len(params) != len(names) or len(qubits) != len(qargs):
+                    self.error(tok, f"gate {name!r} argument count mismatch", "arity")
+                frames.append((iter(body), dict(zip(names, params)), dict(zip(qargs, qubits))))
+            else:
+                nparams, arity = GATE_SIGNATURES[name]
+                if len(params) != nparams:
+                    self.error(tok, f"gate {name!r} expects {nparams} parameter(s)", "arity")
+                if not all(map(math.isfinite, params)):
+                    self.error(tok, f"gate {name!r} has a non-finite parameter", "value")
+                if len(qubits) != arity:
+                    self.error(tok, f"gate {name!r} expects {arity} qubit(s)", "arity")
+                if len(set(qubits)) != arity:
+                    self.error(tok, f"gate {name!r} repeats a qubit", "repeated-qubit")
+                self.instructions.append(StandardGate(name, tuple(params), tuple(qubits)))
+            while frames and (item := next(frames[-1][0], None)) is None:
+                frames.pop()
+            if not frames:
+                return
+            tok, exprs, args = item
+            _, env, qmap = frames[-1]
+            name = tok.value
+            params = [self.eval_expr(e, env) for e in exprs]
+            try:
+                qubits = [qmap[a] for a in args]
+            except KeyError as exc:
+                self.error(tok, f"unknown qubit argument {exc.args[0]!r}")
 
 
 # ---------------------------------------------------------------------------

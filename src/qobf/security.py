@@ -6,7 +6,7 @@ White-box: hidden-subset guessing over the C(n, x) obfuscation patterns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 from .linalg import TWO_PI
 from .obfuscate import ObfuscatedCircuit, ObfuscationMode
@@ -27,14 +27,9 @@ class SecurityReport:
     warning: str | None = None
 
     def to_dict(self) -> dict:
-        doc = {
-            "model": self.model,
-            "parameters": self.parameters,
-            "success_probability": self.success_probability,
-            "min_entropy_bits": self.min_entropy_bits,
-        }
-        if self.warning:
-            doc["warning"] = self.warning
+        doc = asdict(self)
+        if not self.warning:
+            del doc["warning"]
         return doc
 
 
@@ -102,10 +97,9 @@ def audit_circuit(obf: ObfuscatedCircuit) -> SecurityReport:
         "white-box", {"n": 0, "x": 0}, 1.0, 0.0, "empty circuit"
     )
     if key.mode is not ObfuscationMode.SUBSET and report.warning is None:
-        report = SecurityReport(
-            report.model, report.parameters, report.success_probability,
-            report.min_entropy_bits,
-            f"{key.mode.value} mode protects every gate (x = n): "
+        report = replace(
+            report,
+            warning=f"{key.mode.value} mode protects every gate (x = n): "
             "zero pattern entropy in the white-box model",
         )
     return report

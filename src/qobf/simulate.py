@@ -117,13 +117,12 @@ def _terminal_fold(measures, num_qubits: int, num_clbits: int):
     return fold
 
 
-def _walk(c: Circuit, weight, rng=None, branch_cap: int = DEFAULT_BRANCH_CAP) -> dict:
+def _walk(c: Circuit, weight, rng=None) -> dict:
     """Branch walker shared by ``probabilities`` (exact) and ``run`` (sampling).
 
     ``weight`` is 1.0 in exact mode and the shot count in sampling mode, which
-    ``rng`` selects. ``branch_cap`` binds in exact mode only.
+    ``rng`` selects. ``DEFAULT_BRANCH_CAP`` binds in exact mode only.
     """
-    c.validate()
     n = c.num_qubits
     instructions = c.instructions
     t = _terminal_start(instructions)
@@ -159,9 +158,9 @@ def _walk(c: Circuit, weight, rng=None, branch_cap: int = DEFAULT_BRANCH_CAP) ->
         if rng is None:
             w0, w1 = (w if w > _PRUNE else 0 for w in (weight * p0, weight * p1))
             created[i - 1] += bool(w0) + bool(w1)
-            if created[i - 1] > branch_cap:
+            if created[i - 1] > DEFAULT_BRANCH_CAP:
                 raise SimulationCapError(
-                    f"branch count {created[i - 1]} exceeds cap {branch_cap}"
+                    f"branch count {created[i - 1]} exceeds cap {DEFAULT_BRANCH_CAP}"
                 )
         else:
             w1 = int(rng.binomial(weight, min(p1, 1.0)))
@@ -185,14 +184,10 @@ def _walk(c: Circuit, weight, rng=None, branch_cap: int = DEFAULT_BRANCH_CAP) ->
     return result
 
 
-def probabilities(
-    c: Circuit,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
-    branch_cap: int = DEFAULT_BRANCH_CAP,
-) -> dict[str, float]:
+def probabilities(c: Circuit, max_qubits: int = DEFAULT_MAX_QUBITS) -> dict[str, float]:
     """Exact outcome distribution over classical bits."""
     _check_caps(c, max_qubits)
-    result = _walk(c, 1.0, branch_cap=branch_cap)
+    result = _walk(c, 1.0)
     total = sum(result.values())
     if abs(total - 1.0) > 1e-10:
         raise RuntimeError(f"probabilities sum to {total}, not 1")

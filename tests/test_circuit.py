@@ -97,9 +97,9 @@ class TestGateMatrices:
 class TestInstructions:
     def test_standard_gate_arity_checked_at_validate(self):
         with pytest.raises(CircuitError):
-            Circuit(2, 0, (StandardGate("cx", (), (0,)),)).validate()
+            Circuit(2, 0, (StandardGate("cx", (), (0,)),))
         with pytest.raises(CircuitError):
-            Circuit(2, 0, (StandardGate("rz", (), (0,)),)).validate()
+            Circuit(2, 0, (StandardGate("rz", (), (0,)),))
 
     def test_opaque_requires_unitary(self):
         with pytest.raises(CircuitError):
@@ -117,27 +117,33 @@ class TestInstructions:
 
 class TestValidation:
     def test_bell_validates(self):
-        assert list(bell_circuit().validate()) == []
+        assert bell_circuit().validate() is None
 
     def test_qubit_out_of_range(self):
-        c = Circuit(1, 0, (StandardGate("x", (), (1,)),))
         with pytest.raises(CircuitError):
-            c.validate()
+            Circuit(1, 0, (StandardGate("x", (), (1,)),))
 
     def test_duplicate_wires_rejected(self):
-        c = Circuit(2, 0, (StandardGate("cx", (), (1, 1)),))
         with pytest.raises(CircuitError):
-            c.validate()
+            Circuit(2, 0, (StandardGate("cx", (), (1, 1)),))
 
     def test_clbit_out_of_range(self):
-        c = Circuit(1, 1, (Measure(0, 1),))
         with pytest.raises(CircuitError):
-            c.validate()
+            Circuit(1, 1, (Measure(0, 1),))
 
-    def test_clbit_overwrite_warning(self):
-        c = Circuit(2, 1, (Measure(0, 0), Measure(1, 0)))
-        warnings = c.validate()
-        assert len(warnings) == 1 and "clbit 0" in warnings[0]
+    def test_invalid_circuit_cannot_be_built(self, monkeypatch):
+        calls = []
+        real = Circuit.validate
+        monkeypatch.setattr(Circuit, "validate", lambda self: calls.append(self) or real(self))
+        with pytest.raises(CircuitError, match="instruction 0: qubit 2 out of range"):
+            Circuit(2, 0, (StandardGate("h", (), (2,)),))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("junk", [("h",), "h", None, 3, np.eye(2)])
+    def test_non_instruction_rejected(self, junk):
+        with pytest.raises(CircuitError, match="is not an instruction") as exc:
+            Circuit(1, 0, (StandardGate("h", (), (0,)), junk))
+        assert str(exc.value).startswith("instruction 1: ")
 
     @pytest.mark.parametrize(
         "gate, message",
@@ -154,14 +160,13 @@ class TestValidation:
 
         monkeypatch.setattr("qobf.circuit.standard_gate_matrix", refuse)
         with pytest.raises(CircuitError) as exc:
-            Circuit(2, 0, (gate,)).validate()
+            Circuit(2, 0, (gate,))
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_parameter_rejected(self, value):
-        c = Circuit(1, 0, (StandardGate("h", (), (0,)), StandardGate("rx", (value,), (0,))))
         with pytest.raises(CircuitError, match="instruction 1: gate 'rx' has a non-finite"):
-            c.validate()
+            Circuit(1, 0, (StandardGate("h", (), (0,)), StandardGate("rx", (value,), (0,))))
 
 
 class TestStructure:

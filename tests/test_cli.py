@@ -24,6 +24,11 @@ measure q[0] -> c[0];
 measure q[1] -> c[1];
 """
 
+MID_CIRCUIT_QASM = (
+    "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nh q[0];\nmeasure q[0] -> c[0];\n"
+    "reset q[0];\ncx q[0],q[1];\nmeasure q[0] -> c[0];\nmeasure q[1] -> c[1];\n"
+)
+
 
 @pytest.fixture
 def bell_qasm(tmp_path):
@@ -77,12 +82,22 @@ class TestObfuscate:
         assert rc == EXIT_PARSE
 
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--mode", "subset"], "subset mode requires subset_size"),
+            (["--mode", "chained", "--subset-size", "1"], "subset_size only valid in subset mode"),
+            (["--mode", "subset", "--subset-size", "3"], "subset_size 3 out of range [0, 2]"),
+        ],
+    )
+    def test_subset_size_faults_exit_3(self, tmp_path, bell_qasm, capsys, flags, message):
+        rc = main(["obfuscate", "--in", bell_qasm, "--out", str(tmp_path / "o.json"), *flags])
+        assert rc == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+
     def test_mid_circuit_artifact_passes_structure_check(self, tmp_path, capsys):
         src = tmp_path / "mid.qasm"
-        src.write_text(
-            "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nh q[0];\nmeasure q[0] -> c[0];\n"
-            "reset q[0];\ncx q[0],q[1];\nmeasure q[0] -> c[0];\nmeasure q[1] -> c[1];\n"
-        )
+        src.write_text(MID_CIRCUIT_QASM)
         for mode in ("global", "chained"):
             rc = main([
                 "obfuscate", "--in", str(src), "--mode", mode,
@@ -170,6 +185,27 @@ class TestCompare:
 
 
 class TestAnalyze:
+    @pytest.mark.parametrize("mode", ["global", "chained", None])
+    def test_projection_counts_windows(self, tmp_path, capsys, mode):
+        # h | measure, reset | cx | measure, measure: two windows, m = 2, n = 2
+        src = tmp_path / "mid.qasm"
+        src.write_text(MID_CIRCUIT_QASM)
+        args = ["analyze", "--in", str(src)]
+        if mode is not None:  # the artifact, read with its key
+            obf, key = tmp_path / "obf.json", str(tmp_path / "key.json")
+            assert main([
+                "obfuscate", "--in", str(src), "--mode", mode, "--seed", "3",
+                "--out", str(obf), "--key-out", key,
+            ]) == EXIT_OK
+            assert gate_count(read_json(obf.read_text())) == 10
+            args = ["analyze", "--in", str(obf), "--key", key]
+        capsys.readouterr()  # drain the obfuscate summary
+        assert main([*args, "--json"]) == EXIT_OK
+        projection = json.loads(capsys.readouterr().out)["overhead"]["projection"]
+        assert projection == {"pre_fusion_count": 14, "final_count": 10}
+        assert main(args) == EXIT_OK
+        assert "pre-fusion 14, final 10" in capsys.readouterr().out
+
     def test_plain_report(self, tmp_path, bell_qasm, capsys):
         rc = main(["analyze", "--in", bell_qasm])
         assert rc == EXIT_OK

@@ -105,6 +105,21 @@ def with_record(**changes):
     return doc
 
 
+def with_boundary(**changes):
+    doc = sample_key_doc()
+    assert doc["records"][-1]["kind"] == "boundary"
+    doc["records"][-1].update(changes)
+    return doc
+
+
+def with_field(doc, value, *path):
+    target = doc
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return doc
+
+
 def without(doc, field):
     del doc[field]
     return doc
@@ -125,6 +140,24 @@ class TestDomainErrors:
             json.dumps({**circuit_to_dict(sample_circuit()), "instructions": 5}),
             "[" * 100000,
             "1" * 5000,
+            # JSON types: no float, boolean or numeric string where an integer
+            # belongs, no number for a name, no string for a number
+            json.dumps({**circuit_to_dict(sample_circuit()), "num_qubits": 2.9}),
+            json.dumps({**circuit_to_dict(sample_circuit()), "num_qubits": 2.0}),
+            json.dumps({**circuit_to_dict(sample_circuit()), "num_clbits": True}),
+            with_instruction({"kind": "gate", "name": "h", "qubits": ["1"]}),
+            with_instruction({"kind": "gate", "name": "h", "qubits": [True]}),
+            with_instruction({"kind": "gate", "name": "h", "qubits": "1"}),
+            with_instruction({"kind": "gate", "name": 5, "qubits": [0]}),
+            with_instruction({"kind": "gate", "name": "rz", "params": ["0.5"], "qubits": [0]}),
+            with_instruction({"kind": "gate", "name": "rz", "params": [True], "qubits": [0]}),
+            with_instruction({"kind": "gate", "name": "rz", "params": 0.5, "qubits": [0]}),
+            with_instruction({"kind": "measure", "qubit": 1, "clbit": True}),
+            with_instruction({"kind": "measure", "qubit": 1.7, "clbit": 0}),
+            with_instruction({"kind": "reset", "qubit": "0"}),
+            with_instruction({"kind": "barrier", "qubits": [0.0, 1]}),
+            with_instruction({"kind": "unitary", "label": 5, "qubits": [0],
+                              "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}),
         ],
     )
     def test_read_json_faults_are_schema_errors(self, text):
@@ -143,11 +176,32 @@ class TestDomainErrors:
             {**sample_key_doc(), "mode": "sideways"},
             {**sample_key_doc(), "protected": 3},
             {**sample_key_doc(), "num_gates": float("nan")},
+            {**sample_key_doc(), "seed": 3.7},
+            {**sample_key_doc(), "seed": True},
+            {**sample_key_doc(), "num_qubits": "2"},
+            {**sample_key_doc(), "mode": 1},
+            {**sample_key_doc(), "protected": "ab"},
+            {**sample_key_doc(), "protected": [0.5]},
+            {**sample_key_doc(), "segment_params": [[True, 0.0, 0.0]]},
+            with_record(label=5),
+            with_record(gate_index=1.0),
+            with_record(original=7),
+            with_record(qubits=["0"]),
+            with_record(left=[["0.5", 0.0, 0.0]]),
+            with_boundary(segment=False),
+            with_boundary(qubit=0.0),
+            with_boundary(role=1),
+            with_boundary(params=[0.1, 0.2, "0.3"]),
         ],
     )
     def test_read_key_json_faults_are_schema_errors(self, doc):
         with pytest.raises(SchemaError):
             read_key_json(json.dumps(doc))
+
+    def test_integral_numbers_read_as_params(self):
+        text = with_instruction({"kind": "gate", "name": "rz", "params": [1], "qubits": [0]})
+        gate = read_json(text).instructions[0]
+        assert gate.params == (1.0,) and type(gate.params[0]) is float
 
 
 json_values = st.recursive(
@@ -155,7 +209,14 @@ json_values = st.recursive(
     lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
     max_leaves=10,
 )
-small_values = st.integers(-1, 3) | st.sampled_from(["h", "cx", "rz", "u3", "global", "B"])
+# Near misses for integer fields: integral floats, booleans, numeric strings.
+non_integers = (
+    st.floats() | st.integers(-1, 3).map(float) | st.booleans()
+    | st.sampled_from(["0", "1", "2", "0.5"])
+)
+small_values = (
+    st.integers(-1, 3) | st.sampled_from(["h", "cx", "rz", "u3", "global", "B"]) | non_integers
+)
 field_values = (
     json_values
     | small_values
@@ -211,6 +272,49 @@ class TestFuzz:
             read_key_json(json.dumps(doc))
         except SchemaError:
             pass
+
+
+CIRCUIT_INTEGER_FIELDS = [
+    ("num_qubits",), ("num_clbits",),
+    ("instructions", 0, "qubits", 0), ("instructions", 2, "qubits", 1),
+    ("instructions", 3, "qubits", 0), ("instructions", 4, "qubit"),
+    ("instructions", 5, "qubit"), ("instructions", 5, "clbit"),
+]
+KEY_INTEGER_FIELDS = [
+    ("seed",), ("num_qubits",), ("num_gates",), ("records", 0, "gate_index"),
+    ("records", 0, "qubits", 0), ("records", -1, "segment"), ("records", -1, "qubit"),
+]
+
+
+class TestStrictTypes:
+    @given(st.sampled_from(CIRCUIT_INTEGER_FIELDS), non_integers)
+    @settings(max_examples=200, deadline=None)
+    def test_circuit_integer_fields_reject_non_integers(self, path, value):
+        doc = with_field(circuit_to_dict(sample_circuit()), value, *path)
+        with pytest.raises(SchemaError):
+            read_json(json.dumps(doc))
+
+    @given(st.sampled_from(KEY_INTEGER_FIELDS), non_integers)
+    @settings(max_examples=200, deadline=None)
+    def test_key_integer_fields_reject_non_integers(self, path, value):
+        doc = with_field(sample_key_doc(), value, *path)
+        with pytest.raises(SchemaError):
+            read_key_json(json.dumps(doc))
+
+    @given(st.sampled_from([("instructions", 0, "name"), ("instructions", 2, "label")]),
+           st.booleans() | st.integers() | st.floats() | st.none() | st.just(["h"]))
+    @settings(max_examples=100, deadline=None)
+    def test_circuit_names_must_be_strings(self, path, value):
+        doc = with_field(circuit_to_dict(sample_circuit()), value, *path)
+        with pytest.raises(SchemaError):
+            read_json(json.dumps(doc))
+
+    @given(st.booleans() | st.sampled_from(["0.25", "1"]) | st.none() | st.just([0.25]))
+    @settings(max_examples=50, deadline=None)
+    def test_circuit_params_must_be_numbers(self, value):
+        doc = with_field(circuit_to_dict(sample_circuit()), value, "instructions", 1, "params", 0)
+        with pytest.raises(SchemaError):
+            read_json(json.dumps(doc))
 
 
 class TestCounts:

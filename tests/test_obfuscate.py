@@ -39,6 +39,7 @@ from qobf.obfuscate import (
     sample_basis,
     write_key_json,
 )
+from qobf.simulate import probabilities, run
 
 GATE_POOL = (
     ("h", 0), ("x", 0), ("y", 0), ("z", 0), ("s", 0), ("t", 0),
@@ -167,6 +168,22 @@ class TestStructure:
     def test_subset_size_rejected_elsewhere(self):
         with pytest.raises(ObfuscationError):
             obfuscate(bell(), ObfuscationMode.GLOBAL, seed=0, subset_size=1)
+
+
+class TestValidatedOnce:
+    def test_obfuscate_and_run_validate_only_what_they_build(self, monkeypatch):
+        c = Circuit(2, 2, (
+            StandardGate("h", (), (0,)), Measure(0, 0), Reset(0),
+            StandardGate("cx", (), (0, 1)), Measure(0, 0), Measure(1, 1),
+        ))
+        calls = []
+        real = Circuit.validate
+        monkeypatch.setattr(Circuit, "validate", lambda self: calls.append(self) or real(self))
+        obf = obfuscate(c, ObfuscationMode.CHAINED, seed=0)
+        run(c, 64, seed=1)
+        run(obf.circuit, 64, seed=1)
+        probabilities(obf.circuit)
+        assert len(calls) == 1 and calls[0] is obf.circuit
 
 
 class TestDeterminism:

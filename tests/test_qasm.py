@@ -124,6 +124,13 @@ class TestParse:
         assert isinstance(c.instructions[-1], Measure)
 
 
+def doubling_macros(k: int) -> str:
+    """Macros m0..mk, one line each, where m_i calls m_(i-1) twice: m_k is 2**k gates."""
+    return "gate m0 a { x a; }\n" + "".join(
+        f"gate m{i} a {{ m{i - 1} a; m{i - 1} a; }}\n" for i in range(1, k + 1)
+    )
+
+
 class TestParseErrors:
     def test_unknown_gate_kind_and_location(self):
         with pytest.raises(ParseError) as exc:
@@ -174,12 +181,34 @@ class TestParseErrors:
             ("qreg q[1];\nrx(" + "-" * 400 + "1) q[0];\n", 3, 104, "unsupported-feature"),
             ("qreg q[1];\ngate g a { barrier a", 3, 21, "syntax"),
             ("qreg q[60000];\nqreg r[6000];\n", 3, 6, "unsupported-feature"),
+            # 2**40 gates from one call, rejected before expansion
+            pytest.param("qreg q[1];\n" + doubling_macros(40) + "h q[0];\nm40 q[0];\n", 45, 1,
+                         "unsupported-feature", id="macro-budget"),
         ],
     )
     def test_numeric_and_character_faults_located(self, body, line, col, kind):
         with pytest.raises(ParseError) as exc:
             parse("OPENQASM 2.0;\n" + body)
         assert (exc.value.line, exc.value.column, exc.value.kind) == (line, col, kind)
+
+    def test_macro_chain_expands_without_recursion(self):
+        text = "OPENQASM 2.0;\nqreg q[1];\ngate m0 a { x a; }\n" + "".join(
+            f"gate m{i} a {{ m{i - 1} a; }}\n" for i in range(1, 1200)
+        )
+        c = parse(text + "m1199 q[0];\n")
+        assert c.instructions == (StandardGate("x", (), (0,)),)
+
+    def test_macro_expansion_within_budget(self):
+        c = parse("OPENQASM 2.0;\nqreg q[1];\n" + doubling_macros(14) + "m14 q[0];\n")
+        assert len(c.instructions) == 2 ** 14
+
+    def test_macro_budget_summed_over_calls(self):
+        # four calls of 2**16 gates fill the 2**18 budget; the fifth is refused
+        text = "OPENQASM 2.0;\nqreg q[1];\n" + doubling_macros(16) + "m16 q[0];\n" * 5
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.column, exc.value.kind) == (24, 1, "unsupported-feature")
+        assert "past 262144 gates" in exc.value.message
 
     def test_unterminated_literals(self):
         for text, what in [("/* open", "block comment"), ('"open', "string literal")]:
