@@ -23,6 +23,7 @@ after terminal measurements) gets no window unless it is the whole circuit.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -40,7 +41,21 @@ from .circuit import (
     standard_gate_matrix,
     windowed_segments,
 )
-from .jsonio import _INT, _NUM, _STR, KEY_FORMAT, FORMAT_VERSION, SchemaError, _value, _values
+from .jsonio import (
+    _INT,
+    _NUM,
+    _STR,
+    FORMAT_VERSION,
+    KEY_FORMAT,
+    SchemaError,
+    _floats,
+    _join,
+    _numbers,
+    _object,
+    _scalar,
+    _value,
+    _values,
+)
 from .linalg import (
     TWO_PI,
     U3Params,
@@ -320,53 +335,24 @@ def recognize_gate(m: np.ndarray) -> str | None:
 # ---------------------------------------------------------------------------
 # Key serialization
 
-def _params_to_json(p: U3Params) -> list[float]:
-    return [p.theta, p.phi, p.lam]
-
-
 def _params_from_json(v, what: str, at: str = "") -> U3Params:
-    return U3Params(*map(float, _values(v, _NUM, what, at)))
+    p = U3Params(*map(float, _values(v, _NUM, what, at)))
+    if not (math.isfinite(p.theta) and math.isfinite(p.phi) and math.isfinite(p.lam)):
+        raise SchemaError(f"{at}{what} angle must be finite")
+    return p
 
 
-def key_to_dict(key: ObfuscationKey) -> dict:
-    doc: dict = {
-        "format": KEY_FORMAT,
-        "version": FORMAT_VERSION,
-        "seed": key.seed,
-        "mode": key.mode.value,
-        "num_qubits": key.num_qubits,
-        "num_gates": key.num_gates,
-        "records": [
-            {
-                "kind": "block",
-                "label": r.label,
-                "gate_index": r.gate_index,
-                "original": r.original,
-                "qubits": list(r.qubits),
-                "left": [_params_to_json(t) for t in r.left],
-                "right": [_params_to_json(t) for t in r.right],
-            }
-            for r in key.blocks
-        ]
-        + [
-            {
-                "kind": "boundary",
-                "label": r.label,
-                "segment": r.segment,
-                "qubit": r.qubit,
-                "params": _params_to_json(r.params),
-                "role": r.role,
-            }
-            for r in key.boundaries
-        ],
-        "segment_params": [_params_to_json(p) for p in key.segment_params],
-    }
-    if key.protected is not None:
-        doc["protected"] = list(key.protected)
-    return doc
+def _in_register(qubits: tuple, num_qubits: int, at: str) -> tuple:
+    for q in qubits:
+        if not 0 <= q < num_qubits:
+            raise SchemaError(f"{at}qubit {q} outside the {num_qubits}-qubit register")
+    return qubits
 
 
 def key_from_dict(doc: dict) -> ObfuscationKey:
+    """Read a key document; a key that no obfuscation could have written, with
+    non-finite angles, a negative gate count or qubits outside the register, is
+    a SchemaError naming the record."""
     if not isinstance(doc, dict) or doc.get("format") != KEY_FORMAT:
         raise SchemaError(f"not a {KEY_FORMAT} document")
     if doc.get("version") != FORMAT_VERSION:
@@ -374,6 +360,12 @@ def key_from_dict(doc: dict) -> ObfuscationKey:
     blocks = []
     boundaries = []
     try:
+        n = _value(doc["num_qubits"], _INT, "num_qubits")
+        if n < 1:
+            raise SchemaError("num_qubits must be positive")
+        num_gates = _value(doc["num_gates"], _INT, "num_gates")
+        if num_gates < 0:
+            raise SchemaError("num_gates must be non-negative")
         for i, r in enumerate(doc.get("records", [])):
             at = f"key record {i}: "
             if not isinstance(r, dict):
@@ -383,7 +375,7 @@ def key_from_dict(doc: dict) -> ObfuscationKey:
                     _value(r["label"], _STR, "label", at),
                     _value(r["gate_index"], _INT, "gate_index", at),
                     _value(r["original"], _STR, "original", at),
-                    _values(r["qubits"], _INT, "qubits", at),
+                    _in_register(_values(r["qubits"], _INT, "qubits", at), n, at),
                     tuple(_params_from_json(t, "left", at) for t in r["left"]),
                     tuple(_params_from_json(t, "right", at) for t in r["right"]),
                 ))
@@ -391,17 +383,17 @@ def key_from_dict(doc: dict) -> ObfuscationKey:
                 boundaries.append(BoundaryRecord(
                     _value(r["label"], _STR, "label", at),
                     _value(r["segment"], _INT, "segment", at),
-                    _value(r["qubit"], _INT, "qubit", at),
+                    _in_register((_value(r["qubit"], _INT, "qubit", at),), n, at)[0],
                     _params_from_json(r["params"], "params", at),
                     _value(r["role"], _STR, "role", at),
                 ))
             else:
-                raise SchemaError(f"unknown key record kind {r.get('kind')!r}")
+                raise SchemaError(f"{at}unknown kind {r.get('kind')!r}")
         return ObfuscationKey(
             seed=_value(doc["seed"], _INT, "seed"),
             mode=ObfuscationMode(_value(doc["mode"], _STR, "mode")),
-            num_qubits=_value(doc["num_qubits"], _INT, "num_qubits"),
-            num_gates=_value(doc["num_gates"], _INT, "num_gates"),
+            num_qubits=n,
+            num_gates=num_gates,
             blocks=tuple(blocks),
             boundaries=tuple(boundaries),
             segment_params=tuple(
@@ -415,8 +407,49 @@ def key_from_dict(doc: dict) -> ObfuscationKey:
         raise SchemaError(str(exc)) from exc
 
 
+def _angles(params) -> list[float]:
+    return [x for p in params for x in p.as_tuple()]
+
+
+@functools.lru_cache(maxsize=16)
+def _block_template(n_left: int, n_right: int) -> str:
+    """%-template of a block record whose left and right hold n_left and n_right
+    triples, one slot per angle."""
+    def triples(n):
+        return _join([_join(["%s"] * 3, 4)] * n, 3)
+
+    return _object(2, kind=_scalar("block"), label=None, gate_index=None, original=None,
+                   qubits=None, left=triples(n_left), right=triples(n_right))
+
+
+_BOUNDARY = _object(2, kind=_scalar("boundary"), label=None, segment=None, qubit=None,
+                    params=_join(["%s"] * 3, 3), role=None)
+_KEY_FIELDS = dict(format=_scalar(KEY_FORMAT), version=_scalar(FORMAT_VERSION), seed=None,
+                   mode=None, num_qubits=None, num_gates=None, records=None,
+                   segment_params=None)
+_KEY = _object(0, **_KEY_FIELDS) + "\n"
+_SUBSET_KEY = _object(0, **_KEY_FIELDS, protected=None) + "\n"
+
+
 def write_key_json(key: ObfuscationKey) -> str:
-    return json.dumps(key_to_dict(key), indent=2) + "\n"
+    """The key document: the same bytes as json.dumps(doc, indent=2) plus a newline."""
+    records = [
+        _block_template(len(r.left), len(r.right)) % (
+            _scalar(r.label), _scalar(r.gate_index), _scalar(r.original),
+            _numbers(r.qubits, 3), *_floats(_angles(r.left) + _angles(r.right)))
+        for r in key.blocks
+    ]
+    records += [
+        _BOUNDARY % (_scalar(r.label), _scalar(r.segment), _scalar(r.qubit),
+                     *_floats(r.params.as_tuple()), _scalar(r.role))
+        for r in key.boundaries
+    ]
+    segment_params = _join([_numbers(p.as_tuple(), 2) for p in key.segment_params], 1)
+    head = (_scalar(key.seed), _scalar(key.mode.value), _scalar(key.num_qubits),
+            _scalar(key.num_gates), _join(records, 1), segment_params)
+    if key.protected is None:
+        return _KEY % head
+    return _SUBSET_KEY % (*head, _numbers(key.protected, 1))
 
 
 def read_key_json(text: str) -> ObfuscationKey:

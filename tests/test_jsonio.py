@@ -12,13 +12,12 @@ from qobf.jsonio import (
     FORMAT_VERSION,
     SchemaError,
     circuit_from_dict,
-    circuit_to_dict,
     counts_to_json,
     read_json,
     write_json,
 )
 from qobf.linalg import max_abs_diff
-from qobf.obfuscate import ObfuscationMode, key_to_dict, obfuscate, read_key_json
+from qobf.obfuscate import ObfuscationMode, obfuscate, read_key_json, write_key_json
 
 
 def sample_circuit():
@@ -37,6 +36,10 @@ def sample_circuit():
         ),
         register_names={"q": (0, 2), "c": (0, 2)},
     )
+
+
+def sample_doc():
+    return json.loads(write_json(sample_circuit()))
 
 
 class TestRoundTrip:
@@ -58,26 +61,26 @@ class TestRoundTrip:
         assert write_json(c) == write_json(read_json(write_json(c)))
 
     def test_header_fields(self):
-        doc = circuit_to_dict(sample_circuit())
+        doc = sample_doc()
         assert doc["format"] == CIRCUIT_FORMAT
         assert doc["version"] == FORMAT_VERSION
 
 
 class TestSchemaErrors:
     def test_wrong_format_tag(self):
-        doc = circuit_to_dict(sample_circuit())
+        doc = sample_doc()
         doc["format"] = "something-else"
         with pytest.raises(SchemaError):
             circuit_from_dict(doc)
 
     def test_wrong_version(self):
-        doc = circuit_to_dict(sample_circuit())
+        doc = sample_doc()
         doc["version"] = 999
         with pytest.raises(SchemaError):
             circuit_from_dict(doc)
 
     def test_corrupted_matrix_rejected(self):
-        doc = circuit_to_dict(sample_circuit())
+        doc = sample_doc()
         for instr in doc["instructions"]:
             if "matrix" in instr:
                 instr["matrix"][0][0] = [3.0, 0.0]
@@ -90,11 +93,12 @@ class TestSchemaErrors:
 
 
 def sample_key_doc():
-    return key_to_dict(obfuscate(sample_circuit(), ObfuscationMode.CHAINED, seed=1).key)
+    key = obfuscate(sample_circuit(), ObfuscationMode.CHAINED, seed=1).key
+    return json.loads(write_key_json(key))
 
 
 def with_instruction(entry):
-    doc = circuit_to_dict(sample_circuit())
+    doc = sample_doc()
     doc["instructions"][0] = entry
     return json.dumps(doc)
 
@@ -136,15 +140,15 @@ class TestDomainErrors:
             with_instruction({"kind": "measure", "qubit": "x", "clbit": 0}),
             with_instruction({"kind": "reset", "qubit": float("inf")}),
             with_instruction({"kind": "unitary", "label": "B", "qubits": [0], "matrix": [[1]]}),
-            json.dumps(without(circuit_to_dict(sample_circuit()), "num_qubits")),
-            json.dumps({**circuit_to_dict(sample_circuit()), "instructions": 5}),
+            json.dumps(without(sample_doc(), "num_qubits")),
+            json.dumps({**sample_doc(), "instructions": 5}),
             "[" * 100000,
             "1" * 5000,
             # JSON types: no float, boolean or numeric string where an integer
             # belongs, no number for a name, no string for a number
-            json.dumps({**circuit_to_dict(sample_circuit()), "num_qubits": 2.9}),
-            json.dumps({**circuit_to_dict(sample_circuit()), "num_qubits": 2.0}),
-            json.dumps({**circuit_to_dict(sample_circuit()), "num_clbits": True}),
+            json.dumps({**sample_doc(), "num_qubits": 2.9}),
+            json.dumps({**sample_doc(), "num_qubits": 2.0}),
+            json.dumps({**sample_doc(), "num_clbits": True}),
             with_instruction({"kind": "gate", "name": "h", "qubits": ["1"]}),
             with_instruction({"kind": "gate", "name": "h", "qubits": [True]}),
             with_instruction({"kind": "gate", "name": "h", "qubits": "1"}),
@@ -196,6 +200,25 @@ class TestDomainErrors:
     )
     def test_read_key_json_faults_are_schema_errors(self, doc):
         with pytest.raises(SchemaError):
+            read_key_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("doc,message", [
+        (with_record(left=[[float("nan"), 0.0, 0.0]]), "key record 0: left angle must be finite"),
+        (with_record(right=[[0.0, float("inf"), 0.0]]),
+         "key record 0: right angle must be finite"),
+        (with_boundary(params=[0.0, 0.0, float("-inf")]),
+         r"key record \d+: params angle must be finite"),
+        ({**sample_key_doc(), "segment_params": [[float("nan"), 0.0, 0.0]]},
+         "segment_params angle must be finite"),
+        ({**sample_key_doc(), "num_gates": -1}, "num_gates must be non-negative"),
+        ({**sample_key_doc(), "num_qubits": 0}, "num_qubits must be positive"),
+        (with_record(qubits=[2]), "key record 0: qubit 2 outside the 2-qubit register"),
+        (with_record(qubits=[-1]), "key record 0: qubit -1 outside the 2-qubit register"),
+        (with_boundary(qubit=5), r"key record \d+: qubit 5 outside the 2-qubit register"),
+        ({**sample_key_doc(), "records": [{"kind": "gate"}]}, "key record 0: unknown kind 'gate'"),
+    ])
+    def test_impossible_keys_name_the_record(self, doc, message):
+        with pytest.raises(SchemaError, match=message):
             read_key_json(json.dumps(doc))
 
     def test_integral_numbers_read_as_params(self):
@@ -290,7 +313,7 @@ class TestStrictTypes:
     @given(st.sampled_from(CIRCUIT_INTEGER_FIELDS), non_integers)
     @settings(max_examples=200, deadline=None)
     def test_circuit_integer_fields_reject_non_integers(self, path, value):
-        doc = with_field(circuit_to_dict(sample_circuit()), value, *path)
+        doc = with_field(sample_doc(), value, *path)
         with pytest.raises(SchemaError):
             read_json(json.dumps(doc))
 
@@ -305,14 +328,14 @@ class TestStrictTypes:
            st.booleans() | st.integers() | st.floats() | st.none() | st.just(["h"]))
     @settings(max_examples=100, deadline=None)
     def test_circuit_names_must_be_strings(self, path, value):
-        doc = with_field(circuit_to_dict(sample_circuit()), value, *path)
+        doc = with_field(sample_doc(), value, *path)
         with pytest.raises(SchemaError):
             read_json(json.dumps(doc))
 
     @given(st.booleans() | st.sampled_from(["0.25", "1"]) | st.none() | st.just([0.25]))
     @settings(max_examples=50, deadline=None)
     def test_circuit_params_must_be_numbers(self, value):
-        doc = with_field(circuit_to_dict(sample_circuit()), value, "instructions", 1, "params", 0)
+        doc = with_field(sample_doc(), value, "instructions", 1, "params", 0)
         with pytest.raises(SchemaError):
             read_json(json.dumps(doc))
 
