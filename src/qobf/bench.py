@@ -208,7 +208,6 @@ def qaoa_maxcut(
     edges=QAOA_EDGES,
     gamma: float = QAOA_GAMMA,
     beta: float = QAOA_BETA,
-    fused_rzz: bool = False,
 ) -> Circuit:
     n = max(max(e) for e in edges) + 1
     instrs: list = [StandardGate("h", (), (i,)) for i in range(n)]
@@ -216,14 +215,11 @@ def qaoa_maxcut(
     # this is the convention that concentrates (0.865, 0.457) on the optimal
     # cut bitstrings
     for i, j in edges:
-        if fused_rzz:
-            instrs.append(StandardGate("rzz", (-gamma,), (i, j)))
-        else:
-            instrs += [
-                StandardGate("cx", (), (i, j)),
-                StandardGate("rz", (-gamma,), (j,)),
-                StandardGate("cx", (), (i, j)),
-            ]
+        instrs += [
+            StandardGate("cx", (), (i, j)),
+            StandardGate("rz", (-gamma,), (j,)),
+            StandardGate("cx", (), (i, j)),
+        ]
     instrs += [StandardGate("rx", (2 * beta,), (i,)) for i in range(n)]
     _measure_all(instrs, range(n), n)
     return Circuit(n, n, tuple(instrs))

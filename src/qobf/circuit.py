@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import apply_to_tensor, is_unitary
+from .linalg import U3Params, apply_to_tensor, is_unitary, u3_matrix
 
 
 class CircuitError(ValueError):
@@ -160,12 +160,7 @@ def standard_gate_matrix(name: str, params) -> np.ndarray:
             [cmath.exp(1j * phi), cmath.exp(1j * (phi + lam))],
         )
     if name in ("u3", "u"):
-        theta, phi, lam = params
-        c, s = math.cos(theta / 2), math.sin(theta / 2)
-        return _fixed(
-            [c, -cmath.exp(1j * lam) * s],
-            [cmath.exp(1j * phi) * s, cmath.exp(1j * (phi + lam)) * c],
-        )
+        return u3_matrix(U3Params(*params))
     if name == "rzz":
         e = cmath.exp(0.5j * params[0])
         return np.diag([e.conjugate(), e, e, e.conjugate()]).astype(np.complex128)
@@ -185,7 +180,6 @@ class Circuit:
     num_qubits: int
     num_clbits: int
     instructions: tuple[Instruction, ...]
-    register_names: tuple[str, ...] = ("q",)
 
     def __post_init__(self):
         if self.num_qubits < 1:
@@ -308,22 +302,3 @@ def to_unitary(c: Circuit, max_qubits: int = 10) -> np.ndarray:
         u = apply_to_tensor(instruction_matrix(instr), instr.qubits, u, c.num_qubits)
     return u
 
-
-def strip_measurements(c: Circuit) -> Circuit:
-    """Drop Measure/Reset instructions (oracle helper for equivalence tests)."""
-    kept = tuple(
-        instr for instr in c.instructions if not isinstance(instr, (Measure, Reset))
-    )
-    return Circuit(c.num_qubits, c.num_clbits, kept, c.register_names)
-
-
-def concat(a: Circuit, b: Circuit) -> Circuit:
-    if a.num_qubits != b.num_qubits or a.num_clbits != b.num_clbits:
-        raise CircuitError("concat requires matching register sizes")
-    return Circuit(a.num_qubits, a.num_clbits, a.instructions + b.instructions)
-
-
-def lifted_operator(instr: Instruction, num_qubits: int) -> np.ndarray:
-    """Instruction operator lifted to the full register (test helper)."""
-    out = np.eye(2 ** num_qubits, dtype=np.complex128)
-    return apply_to_tensor(instruction_matrix(instr), instr.qubits, out, num_qubits)

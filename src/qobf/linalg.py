@@ -17,9 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Kronecker results are refused beyond this dimension per side.
-MAX_KRON_DIM = 2 ** 12
-
 TWO_PI = 2.0 * math.pi
 
 
@@ -39,7 +36,12 @@ class U3Params:
         return (self.theta, self.phi, self.lam)
 
     def inverse(self) -> "U3Params":
-        return u3_inverse_params(self)
+        """Parameters of the exact adjoint: (-theta, -lam, -phi).
+
+        The sign/order swap makes the identity phase-exact, not merely
+        phase-equivalent.
+        """
+        return U3Params(-self.theta, -self.lam, -self.phi)
 
 
 def u3_matrix(p: U3Params) -> np.ndarray:
@@ -55,37 +57,19 @@ def u3_matrix(p: U3Params) -> np.ndarray:
     )
 
 
-def u3_inverse_params(p: U3Params) -> U3Params:
-    """Parameters of the exact adjoint: (-theta, -lam, -phi).
-
-    The sign/order swap makes the identity phase-exact, not merely
-    phase-equivalent.
-    """
-    return U3Params(-p.theta, -p.lam, -p.phi)
-
-
 def adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().T
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[0] * b.shape[0] > MAX_KRON_DIM or a.shape[1] * b.shape[1] > MAX_KRON_DIM:
-        raise LinalgError(
-            f"kron result would exceed {MAX_KRON_DIM} per side: "
-            f"{a.shape} x {b.shape}"
-        )
-    return np.kron(a, b)
 
 
 def kron_slots(mats) -> np.ndarray:
     """Kronecker product of per-slot operators, slot 0 least significant.
 
     ``kron_slots([a, b])`` acts with ``a`` on bit 0 and ``b`` on bit 1,
-    i.e. equals ``kron(b, a)`` in textbook (big-endian-first) order.
+    i.e. equals ``np.kron(b, a)`` in textbook (big-endian-first) order.
     """
     out = np.eye(1, dtype=np.complex128)
     for m in mats:
-        out = kron(m, out)
+        out = np.kron(m, out)
     return out
 
 
@@ -116,10 +100,6 @@ def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) ->
         return False
     phase /= mag
     return float(np.max(np.abs(a - phase * b))) <= tol
-
-
-def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(a - b)))
 
 
 @functools.lru_cache(maxsize=8192)

@@ -110,11 +110,16 @@ class ObfuscationKey:
     segment_params: tuple[U3Params, ...] = ()  # global mode, one per segment
     protected: tuple[int, ...] | None = None  # subset mode gate indices
 
+    @functools.cached_property
+    def _blocks_by_label(self) -> dict[str, BlockRecord]:
+        # Built on first lookup; a cached property is not a field, so == ignores it.
+        return {rec.label: rec for rec in self.blocks}
+
     def block(self, label: str) -> BlockRecord:
-        for rec in self.blocks:
-            if rec.label == label:
-                return rec
-        raise ObfuscationError(f"label {label!r} not present in key")
+        rec = self._blocks_by_label.get(label)
+        if rec is None:
+            raise ObfuscationError(f"label {label!r} not present in key")
+        return rec
 
 
 @dataclass(frozen=True)
@@ -272,7 +277,7 @@ def obfuscate(
         segment_params=tuple(seg_params),
         protected=protected,
     )
-    obf = Circuit(c.num_qubits, c.num_clbits, tuple(out), c.register_names)
+    obf = Circuit(c.num_qubits, c.num_clbits, tuple(out))
     return ObfuscatedCircuit(obf, key)
 
 
@@ -351,14 +356,15 @@ def _in_register(qubits: tuple, num_qubits: int, at: str) -> tuple:
 
 def key_from_dict(doc: dict) -> ObfuscationKey:
     """Read a key document; a key that no obfuscation could have written, with
-    non-finite angles, a negative gate count or qubits outside the register, is
-    a SchemaError naming the record."""
+    non-finite angles, a negative gate count, qubits outside the register or a
+    block label already used, is a SchemaError naming the record."""
     if not isinstance(doc, dict) or doc.get("format") != KEY_FORMAT:
         raise SchemaError(f"not a {KEY_FORMAT} document")
     if doc.get("version") != FORMAT_VERSION:
         raise SchemaError(f"unsupported key version {doc.get('version')!r}")
     blocks = []
     boundaries = []
+    labels = set()
     try:
         n = _value(doc["num_qubits"], _INT, "num_qubits")
         if n < 1:
@@ -371,8 +377,12 @@ def key_from_dict(doc: dict) -> ObfuscationKey:
             if not isinstance(r, dict):
                 raise SchemaError(f"{at}not an object")
             if r.get("kind") == "block":
+                label = _value(r["label"], _STR, "label", at)
+                if label in labels:
+                    raise SchemaError(f"{at}duplicate block label {label!r}")
+                labels.add(label)
                 blocks.append(BlockRecord(
-                    _value(r["label"], _STR, "label", at),
+                    label,
                     _value(r["gate_index"], _INT, "gate_index", at),
                     _value(r["original"], _STR, "original", at),
                     _in_register(_values(r["qubits"], _INT, "qubits", at), n, at),

@@ -7,7 +7,6 @@ raises `ParseError` with the line and column of the offending token.
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 import operator
 import re
@@ -25,11 +24,6 @@ from .circuit import (
     StandardGate,
 )
 from .linalg import TWO_PI, U3Params, is_unitary
-
-
-class SourceVersion(enum.Enum):
-    Qasm2 = "2.0"
-    Qasm3 = "3.0"
 
 
 class ParseError(Exception):
@@ -92,33 +86,30 @@ def _tokenize(text: str) -> Iterator[_Token]:
     yield _Token("eof", "", line, len(text) - line_start + 1)
 
 
-_VERSIONS = {"2.0": SourceVersion.Qasm2, "3": SourceVersion.Qasm3, "3.0": SourceVersion.Qasm3}
+# Supported header versions: is the file QASM 3?
+_QASM3 = {"2.0": False, "3": True, "3.0": True}
 
 
-def _read_header(tokens: Iterator[_Token]) -> SourceVersion:
-    """Consume `OPENQASM <version> ;`, the first three tokens."""
+def _read_header(tokens: Iterator[_Token]) -> bool:
+    """Consume `OPENQASM <version> ;`, the first three tokens; True for QASM 3."""
     tok = next(tokens)
     if tok[:2] == ("id", "OPENQASM"):
         tok = next(tokens)
         if tok.kind == "num":
-            version = _VERSIONS.get(tok.value)
-            if version is None:
+            qasm3 = _QASM3.get(tok.value)
+            if qasm3 is None:
                 raise ParseError(tok.line, tok.col,
                                  f"unsupported OPENQASM version {tok.value!r}", "unknown-version")
             tok = next(tokens)
             if tok[:2] == ("sym", ";"):
-                return version
+                return qasm3
     raise ParseError(tok.line, tok.col, "missing or malformed OPENQASM header", "unknown-version")
-
-
-def detect_version(text: str) -> SourceVersion:
-    return _read_header(_tokenize(text))
 
 
 def parse(text: str) -> Circuit:
     tokens = _tokenize(text)
-    version = _read_header(tokens)
-    return _Parser(list(tokens), version).parse_program()
+    qasm3 = _read_header(tokens)
+    return _Parser(list(tokens), qasm3).parse_program()
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +130,10 @@ _REGISTER_KINDS = {"qreg": "quantum", "qubit": "quantum", "creg": "classical", "
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], version: SourceVersion):
+    def __init__(self, tokens: list[_Token], qasm3: bool):
         self.tokens = tokens
         self.pos = 0
-        self.version = version
+        self.qasm3 = qasm3  # QASM 3 declarations and measure-assignments allowed
         self.registers: dict[str, tuple[str, int, int]] = {}  # name -> (kind, offset, size)
         self.width = {"quantum": 0, "classical": 0}
         # name -> (params, qargs, body of (gate token, param code, qarg names), gate count)
@@ -287,12 +278,10 @@ class _Parser:
     def parse_program(self) -> Circuit:
         while self.peek().kind != "eof":
             self.parse_statement()
-        quantum = [name for name, reg in self.registers.items() if reg[0] == "quantum"]
         return Circuit(
             num_qubits=max(self.width["quantum"], 1),
             num_clbits=self.width["classical"],
             instructions=tuple(self.instructions),
-            register_names=tuple(quantum) or ("q",),
         )
 
     def parse_statement(self):
@@ -304,9 +293,7 @@ class _Parser:
             self.next()
             self.expect("str")
             self.expect("sym", ";")
-        elif name in ("qreg", "creg") or (
-            name in ("qubit", "bit") and self.version is SourceVersion.Qasm3
-        ):
+        elif name in ("qreg", "creg") or (name in ("qubit", "bit") and self.qasm3):
             self.next()
             if name.endswith("reg"):  # qreg q[2];
                 reg, size = self.expect("id"), self.index()
@@ -343,10 +330,8 @@ class _Parser:
             q = self.operand()
             self.expect("sym", ";")
             self.instructions.extend(map(Reset, self.resolve("quantum", q)))
-        elif (
-            self.version is SourceVersion.Qasm3
-            and self.registers.get(name, ("",))[0] == "classical"
-        ):  # c[j] = measure q[i];
+        elif self.qasm3 and self.registers.get(name, ("",))[0] == "classical":
+            # c[j] = measure q[i];
             c = self.operand()
             self.expect("sym", "=")
             self.expect("id", "measure")

@@ -40,16 +40,6 @@ def blackbox_guess_probability(delta: float) -> float:
     return (delta / TWO_PI) ** 3
 
 
-def blackbox_profile(delta: float) -> SecurityReport:
-    p = blackbox_guess_probability(delta)
-    return SecurityReport(
-        model="black-box",
-        parameters={"delta": delta},
-        success_probability=p,
-        min_entropy_bits=-math.log2(p),
-    )
-
-
 def _log2_comb(n: int, x: int) -> float:
     if n <= _EXACT_LIMIT:
         return math.log2(math.comb(n, x))

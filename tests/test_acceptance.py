@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from helpers import max_abs_diff, strip_measurements
 
 from qobf.bench import (
     CASE_STUDY_KEY,
@@ -23,17 +24,10 @@ from qobf.circuit import (
     OpaqueUnitary,
     StandardGate,
     gate_count,
-    strip_measurements,
     to_unitary,
 )
 from qobf.jsonio import read_json, write_json
-from qobf.linalg import (
-    U3Params,
-    adjoint,
-    equal_up_to_global_phase,
-    max_abs_diff,
-    u3_matrix,
-)
+from qobf.linalg import U3Params, adjoint, equal_up_to_global_phase, u3_matrix
 from qobf.metrics import overhead, semantic_accuracy, timed_compare, tvd
 from qobf.obfuscate import ObfuscationMode, obfuscate, recognize_gate
 from qobf.qasm import emit_qasm2, parse, zyz_to_u3

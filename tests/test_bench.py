@@ -6,13 +6,15 @@ from qobf.bench import (
     CASE_STUDY_KEY,
     PAPER_SUITE,
     QAOA_EDGES,
+    QAOA_GAMMA,
     counts_to_csv,
     generate,
     paper_case_study,
     run_paper_suite,
     write_case_study_artifacts,
 )
-from qobf.circuit import gate_count
+from qobf.circuit import Circuit, StandardGate, gate_count, to_unitary
+from qobf.linalg import equal_up_to_global_phase
 from qobf.obfuscate import ObfuscationMode
 from qobf.simulate import probabilities, run
 
@@ -80,11 +82,16 @@ class TestGenerators:
         assert set(top2) == {"01001", "10110"}
         assert p["01001"] + p["10110"] == pytest.approx(0.37, abs=0.005)
 
-    def test_qaoa_fused_variant_matches(self):
-        a = probabilities(generate("qaoa_maxcut"))
-        b = probabilities(generate("qaoa_maxcut", fused_rzz=True))
-        for k in set(a) | set(b):
-            assert a.get(k, 0.0) == pytest.approx(b.get(k, 0.0), abs=1e-12)
+    def test_qaoa_cost_term_is_rzz(self):
+        # The generator's cx . rz(-gamma) . cx per edge is rzz(-gamma).
+        gamma = QAOA_GAMMA
+        fused = Circuit(2, 0, (StandardGate("rzz", (-gamma,), (0, 1)),))
+        ladder = Circuit(2, 0, (
+            StandardGate("cx", (), (0, 1)),
+            StandardGate("rz", (-gamma,), (1,)),
+            StandardGate("cx", (), (0, 1)),
+        ))
+        assert equal_up_to_global_phase(to_unitary(fused), to_unitary(ladder), 1e-12)
 
     def test_qaoa_default_graph_edges(self):
         assert QAOA_EDGES == ((0, 1), (1, 2), (1, 3), (3, 4), (2, 4))

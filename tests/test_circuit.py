@@ -1,6 +1,7 @@
 """Tests for the circuit IR: instructions, validation, structure queries."""
 import numpy as np
 import pytest
+from helpers import concat, lifted_operator, max_abs_diff, strip_measurements
 
 from qobf.circuit import (
     Barrier,
@@ -11,17 +12,14 @@ from qobf.circuit import (
     OpaqueUnitary,
     Reset,
     StandardGate,
-    concat,
     depth,
     gate_count,
     instruction_matrix,
-    lifted_operator,
     segment,
     standard_gate_matrix,
-    strip_measurements,
     to_unitary,
 )
-from qobf.linalg import equal_up_to_global_phase, is_unitary, max_abs_diff
+from qobf.linalg import equal_up_to_global_phase, is_unitary
 
 
 def bell_circuit():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import max_abs_diff
 
 from qobf.circuit import Barrier, Circuit, Measure, OpaqueUnitary, Reset, StandardGate
 from qobf.jsonio import (
@@ -16,8 +17,8 @@ from qobf.jsonio import (
     read_json,
     write_json,
 )
-from qobf.linalg import max_abs_diff
 from qobf.obfuscate import ObfuscationMode, obfuscate, read_key_json, write_key_json
+from qobf.qasm import parse
 
 
 def sample_circuit():
@@ -34,7 +35,6 @@ def sample_circuit():
             Measure(0, 0),
             Measure(1, 1),
         ),
-        register_names={"q": (0, 2), "c": (0, 2)},
     )
 
 
@@ -55,6 +55,13 @@ class TestRoundTrip:
         blk_b = back.instructions[2]
         assert blk_b.label == blk_a.label
         assert max_abs_diff(blk_a.matrix, blk_b.matrix) == 0.0
+
+    def test_parsed_circuit_equals_its_round_trip(self):
+        c = parse(
+            "OPENQASM 2.0;\nqreg a[3];\ncreg m[3];\nh a[0];\ncx a[0], a[1];\n"
+            "u3(0.1, 0.2, 0.3) a[2];\nbarrier a;\nmeasure a -> m;\n"
+        )
+        assert read_json(write_json(c)) == c
 
     def test_write_is_stable(self):
         c = sample_circuit()
@@ -126,6 +133,13 @@ def with_field(doc, value, *path):
 
 def without(doc, field):
     del doc[field]
+    return doc
+
+
+def with_duplicate_label():
+    doc = sample_key_doc()
+    assert [r["kind"] for r in doc["records"][:2]] == ["block", "block"]
+    doc["records"][1]["label"] = doc["records"][0]["label"]
     return doc
 
 
@@ -216,6 +230,7 @@ class TestDomainErrors:
         (with_record(qubits=[-1]), "key record 0: qubit -1 outside the 2-qubit register"),
         (with_boundary(qubit=5), r"key record \d+: qubit 5 outside the 2-qubit register"),
         ({**sample_key_doc(), "records": [{"kind": "gate"}]}, "key record 0: unknown kind 'gate'"),
+        (with_duplicate_label(), "key record 1: duplicate block label 'Obf_H_0'"),
     ])
     def test_impossible_keys_name_the_record(self, doc, message):
         with pytest.raises(SchemaError, match=message):

@@ -3,20 +3,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import max_abs_diff
 
 from qobf.linalg import (
     LinalgError,
-    MAX_KRON_DIM,
     TWO_PI,
     U3Params,
     adjoint,
     apply_to_tensor,
     equal_up_to_global_phase,
     is_unitary,
-    kron,
     kron_slots,
-    max_abs_diff,
-    u3_inverse_params,
     u3_matrix,
 )
 
@@ -59,7 +56,7 @@ class TestU3Matrix:
     @settings(max_examples=200, deadline=None)
     def test_inverse_params_are_exact_adjoint(self, th, ph, lam):
         p = U3Params(th, ph, lam)
-        inv = u3_inverse_params(p)
+        inv = p.inverse()
         assert inv == U3Params(-th, -lam, -ph)
         assert max_abs_diff(u3_matrix(inv), adjoint(u3_matrix(p))) < 1e-12
 
@@ -77,19 +74,6 @@ class TestMatrixOps:
         rng = np.random.default_rng(1)
         a = random_unitary(rng, 2)
         assert max_abs_diff(adjoint(a) @ a, np.eye(2)) < 1e-12
-
-    def test_kron_matches_numpy(self):
-        rng = np.random.default_rng(2)
-        a, b = random_unitary(rng, 2), random_unitary(rng, 4)
-        assert max_abs_diff(kron(a, b), np.kron(a, b)) == 0.0
-
-    def test_kron_dimension_guard(self):
-        with pytest.raises(LinalgError):
-            kron(np.eye(2 ** 6), np.eye(2 ** 7))
-        with pytest.raises(LinalgError):
-            kron_slots([np.eye(2 ** 6), np.eye(2 ** 7)])
-        at_cap = kron(np.ones((2, 1)), np.ones((MAX_KRON_DIM // 2, 1)))
-        assert at_cap.shape == (MAX_KRON_DIM, 1)
 
     def test_kron_slots_order(self):
         # Slot 0 is the least significant local bit: for [A, B] the lifted

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import max_abs_diff, strip_measurements
 
 from qobf.bench import CASE_STUDY_KEY, PAPER_SUITE, generate, qaoa_maxcut
 from qobf.circuit import (
@@ -17,15 +18,9 @@ from qobf.circuit import (
     StandardGate,
     gate_count,
     standard_gate_matrix,
-    strip_measurements,
     to_unitary,
 )
-from qobf.linalg import (
-    U3Params,
-    equal_up_to_global_phase,
-    max_abs_diff,
-    u3_matrix,
-)
+from qobf.linalg import U3Params, equal_up_to_global_phase, u3_matrix
 from qobf.jsonio import write_json
 from qobf.obfuscate import (
     ObfuscationError,
@@ -241,6 +236,17 @@ class TestKey:
         obf = obfuscate(bell(), ObfuscationMode.GLOBAL, seed=13)
         with pytest.raises(ObfuscationError):
             obf.key.block("Obf_NOPE_0")
+
+    @pytest.mark.parametrize("mode,kw", MODES)
+    def test_every_label_maps_to_its_own_record(self, mode, kw):
+        c = random_circuit(np.random.default_rng(21), 4, 40)
+        key = obfuscate(c, mode, seed=21, **kw).key
+        assert len(key.blocks) >= 1
+        for rec in key.blocks:
+            assert key.block(rec.label) is rec
+        # The label index is not a field: a key that has been searched still
+        # equals one that has not.
+        assert read_key_json(write_key_json(key)) == key
 
 
 class TestConjugation:

@@ -6,18 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import max_abs_diff
 
 from qobf.circuit import Barrier, Measure, OpaqueUnitary, Reset, StandardGate
-from qobf.linalg import U3Params, equal_up_to_global_phase, max_abs_diff, u3_matrix
-from qobf.qasm import (
-    ParseError,
-    SourceVersion,
-    _tokenize,
-    detect_version,
-    emit_qasm2,
-    parse,
-    zyz_to_u3,
-)
+from qobf.linalg import U3Params, equal_up_to_global_phase, u3_matrix
+from qobf.qasm import ParseError, _tokenize, emit_qasm2, parse, zyz_to_u3
 
 BELL_SRC = """OPENQASM 2.0;
 include "qelib1.inc";
@@ -36,25 +29,34 @@ def random_u2(rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-class TestDetectVersion:
+class TestHeader:
     def test_qasm2(self):
-        assert detect_version("OPENQASM 2.0;\n") is SourceVersion.Qasm2
+        assert parse("OPENQASM 2.0;\nqreg q[2];\n").num_qubits == 2
 
-    def test_qasm3(self):
-        assert detect_version("OPENQASM 3;\n") is SourceVersion.Qasm3
-        assert detect_version("OPENQASM 3.0;\n") is SourceVersion.Qasm3
+    @pytest.mark.parametrize("version", ["3", "3.0"])
+    def test_qasm3(self, version):
+        assert parse(f"OPENQASM {version};\nqubit[2] q;\n").num_qubits == 2
+
+    def test_qubit_declaration_only_under_qasm3(self):
+        assert parse("OPENQASM 3;\nqubit[1] q;\n").num_qubits == 1
+        with pytest.raises(ParseError) as exc:
+            parse("OPENQASM 2.0;\nqubit[1] q;\n")
+        assert exc.value.kind == "unknown-gate"
 
     def test_unknown_version(self):
         with pytest.raises(ParseError) as exc:
-            detect_version("OPENQASM 4.0;\n")
+            parse("OPENQASM 4.0;\n")
         assert exc.value.kind == "unknown-version"
 
     def test_missing_header(self):
-        with pytest.raises(ParseError):
-            detect_version("qreg q[1];\n")
+        with pytest.raises(ParseError) as exc:
+            parse("qreg q[1];\n")
+        assert exc.value.kind == "unknown-version"
 
-    def test_reads_only_the_header(self):
-        assert detect_version("OPENQASM 2.0; $ /* unterminated") is SourceVersion.Qasm2
+    def test_header_read_before_the_body(self):
+        with pytest.raises(ParseError) as exc:
+            parse("OPENQASM 4.0; $ /* unterminated")
+        assert exc.value.kind == "unknown-version"
 
 
 class TestParse:
@@ -353,17 +355,19 @@ def parse_digest(texts) -> str:
     h = hashlib.sha256()
     for text in texts:
         c = parse(text)
-        h.update(repr((c.num_qubits, c.num_clbits, c.register_names, c.instructions)).encode())
+        h.update(repr((c.num_qubits, c.num_clbits, c.instructions)).encode())
     return h.hexdigest()
 
 
 class TestParseGolden:
     def test_parse_digest_pinned(self):
-        # SHA-256 of (num_qubits, num_clbits, register_names, instructions) per
-        # file, computed before the tokenizer and parser were rewritten.
+        # SHA-256 of (num_qubits, num_clbits, instructions) per file. The
+        # instructions were first pinned before the tokenizer and parser were
+        # rewritten; this value was computed with the parser of the tree that
+        # still had a register-name field, over the same texts without it.
         texts = [generated_qasm(seed, 150) for seed in range(6)] + HAND_WRITTEN
         assert parse_digest(texts) == (
-            "045e15f9ac0b4afe51e2c38021e637c32899094d52700af1c4afd0f9911774b6"
+            "2e01009a2f1a41777da806d76d1334497c73e280df4491d148e84056632134e4"
         )
 
 

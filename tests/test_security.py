@@ -11,7 +11,6 @@ from qobf.obfuscate import ObfuscationMode, obfuscate
 from qobf.security import (
     audit_circuit,
     blackbox_guess_probability,
-    blackbox_profile,
     whitebox_profile,
 )
 
@@ -37,12 +36,6 @@ class TestBlackbox:
         for bad in (0.0, -1.0, TWO_PI + 0.1):
             with pytest.raises(ValueError):
                 blackbox_guess_probability(bad)
-
-    def test_profile(self):
-        rep = blackbox_profile(TWO_PI / 100)
-        assert rep.model == "black-box"
-        assert rep.success_probability == pytest.approx(1e-6, rel=1e-15)
-        assert rep.min_entropy_bits == pytest.approx(-math.log2(1e-6), rel=1e-12)
 
 
 def exhaustive_subset_count(n, x):
@@ -113,5 +106,7 @@ class TestAudit:
         assert rep.warning is not None
 
     def test_to_dict(self):
-        d = blackbox_profile(TWO_PI / 10).to_dict()
+        d = whitebox_profile(4, 2).to_dict()
         assert set(d) >= {"model", "success_probability", "min_entropy_bits"}
+        assert "warning" not in d
+        assert "warning" in whitebox_profile(4, 0).to_dict()
