@@ -40,29 +40,19 @@ class CliFailure(Exception):
         self.code = code
 
 
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise CliFailure(EXIT_IO, f"cannot read {path}: {exc}") from exc
-
-
-def _write_text(path: str, text: str):
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        raise CliFailure(EXIT_IO, f"cannot write {path}: {exc}") from exc
-
-
 def load_circuit(path: str) -> Circuit:
-    """Load QASM or JSON, auto-detected by extension then content sniffing."""
-    text = _read_text(path)
+    """Load QASM or JSON, auto-detected by extension then content sniffing.
+
+    JSON must be UTF-8. In QASM each undecodable byte becomes one replacement
+    character, which the tokenizer reports with its line and column.
+    """
+    data = Path(path).read_bytes()
     suffix = Path(path).suffix.lower()
-    sniffed_json = text.lstrip().startswith("{")
+    sniffed_json = data.lstrip().startswith(b"{")
     is_json = suffix == ".json" or (suffix not in (".qasm", ".qasm2") and sniffed_json)
     if is_json:
-        return read_json(text)
-    return parse(text)
+        return read_json(data.decode())
+    return parse(data.decode(errors="replace"))
 
 
 def _print_overhead(report, as_json: bool):
@@ -93,9 +83,9 @@ def cmd_obfuscate(args) -> int:
     original = load_circuit(getattr(args, "in"))
     mode = ObfuscationMode(args.mode)
     result = obfuscate(original, mode, seed=args.seed, subset_size=args.subset_size)
-    _write_text(args.out, write_json(result.circuit))
+    Path(args.out).write_text(write_json(result.circuit))
     if args.key_out:
-        _write_text(args.key_out, write_key_json(result.key))
+        Path(args.key_out).write_text(write_key_json(result.key))
     _print_overhead(overhead(original, result.circuit, mode=mode.value), args.json)
     return EXIT_OK
 
@@ -105,7 +95,7 @@ def cmd_simulate(args) -> int:
     counts = run(circuit, args.shots, seed=args.seed, max_qubits=args.max_qubits)
     text = counts_to_json(counts.counts, counts.shots)
     if args.out:
-        _write_text(args.out, text)
+        Path(args.out).write_text(text)
     else:
         print(text, end="")
     return EXIT_OK
@@ -147,7 +137,7 @@ def cmd_compare(args) -> int:
 def cmd_analyze(args) -> int:
     circuit = load_circuit(getattr(args, "in"))
     if args.key:
-        key = read_key_json(_read_text(args.key))
+        key = read_key_json(Path(args.key).read_text())
         security = audit_circuit(ObfuscatedCircuit(circuit, key))
         m, n, mode = key.num_gates, key.num_qubits, key.mode
         overhead = {"m": m, "n": n, "gate_count": gate_count(circuit)}
@@ -297,6 +287,9 @@ def main(argv=None) -> int:
     except CliFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except OSError as exc:  # names the path it could not read or write
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -2,13 +2,12 @@
 
 Circuit documents carry opaque unitaries losslessly (row-major [re, im]
 matrix entries with full round-trip float precision), which QASM 2 cannot.
+Circuit and key documents are compact: a header line, one instruction or key
+record per line, and a closing line. Any JSON layout of the same schema reads.
 """
 from __future__ import annotations
 
-import functools
 import json
-import math
-from json.encoder import encode_basestring_ascii as _string
 
 import numpy as np
 
@@ -108,102 +107,44 @@ def circuit_from_dict(doc: dict) -> Circuit:
         raise SchemaError(str(exc)) from exc
 
 
-# Writers. The circuit and key documents are written as the exact bytes of
-# json.dumps(doc, indent=2) + "\n", without building doc: with an indent,
-# json.dumps leaves its C encoder and walks every matrix entry in Python. Each
-# record kind is one %-template; each value is written the way json.dumps writes
-# it. A list or object where the schema has a scalar is a TypeError here.
-
-_NL = tuple("\n" + "  " * level for level in range(8))  # line break + indent, by level
-
-
-def _scalar(v) -> str:
-    """``v`` as json.dumps writes it: the type decides, so 1 stays 1."""
-    if isinstance(v, str):
-        return _string(v)
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    if isinstance(v, float):
-        if math.isfinite(v):
-            return float.__repr__(v)
-        return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
-    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+# Writers. A document is its header fields on the first line, then one compact
+# record per line, then a closing line. json's C encoder writes every value: it
+# takes the C path because there is no indent, and skips the circular check
+# because each record is built here from tuples and scalars. Records are encoded
+# one at a time, so no dict of the whole artifact is built. A value json refuses,
+# such as a numpy.int64 qubit, raises its TypeError.
+_encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
-def _join(items: list, level: int, brackets: str = "[]") -> str:
-    """Written items as one list (or object) at nesting ``level``."""
-    if not items:
-        return brackets
-    inner = _NL[level + 1]
-    return brackets[0] + inner + ("," + inner).join(items) + _NL[level] + brackets[1]
+def _document(head: dict, field: str, records, tail: dict | None = None) -> str:
+    """``head``'s fields, then ``field``: the list of ``records``, one per line,
+    then ``tail``'s fields."""
+    first = f"{_encode(head)[:-1]},{_encode(field)}:["
+    last = "]" + ("," + _encode(tail)[1:] if tail else "}")
+    body = ",\n".join(map(_encode, records))
+    return f"{first}\n{body}\n{last}\n" if body else f"{first}{last}\n"
 
 
-def _numbers(values, level: int) -> str:
-    return _join(list(map(_scalar, values)), level)
-
-
-def _floats(values) -> list[str]:
-    """``_scalar`` of each value, in one float.__repr__ pass when all are finite floats."""
-    try:
-        texts = list(map(float.__repr__, values))
-    except TypeError:  # an int, a bool or not a number
-        return list(map(_scalar, values))
-    if "n" in "".join(texts):  # nan or inf, which JSON spells NaN and Infinity
-        return list(map(_scalar, values))
-    return texts
-
-
-def _object(level: int, **fields) -> str:
-    """%-template of an object at ``level``: each field is written JSON text, or
-    None for a %s slot."""
-    items = [f"{_string(k)}: {'%s' if v is None else v}" for k, v in fields.items()]
-    return _join(items, level, "{}")
-
-
-@functools.lru_cache(maxsize=8)
-def _matrix_template(dim: int) -> str:
-    """%-template of a dim x dim matrix of [re, im] pairs inside an instruction."""
-    pair = _join(["%s", "%s"], 5)
-    return _join([_join([pair] * dim, 4)] * dim, 3)
-
-
-def _matrix(m: np.ndarray) -> str:
-    m = np.asarray(m, dtype=np.complex128)
-    return _matrix_template(m.shape[0]) % tuple(_floats(m.ravel().view(np.float64).tolist()))
-
-
-_GATE = _object(2, kind=_scalar("gate"), name=None, params=None, qubits=None)
-_UNITARY = _object(2, kind=_scalar("unitary"), label=None, qubits=None, matrix=None)
-_MEASURE = _object(2, kind=_scalar("measure"), qubit=None, clbit=None)
-_RESET = _object(2, kind=_scalar("reset"), qubit=None)
-_BARRIER = _object(2, kind=_scalar("barrier"), qubits=None)
-_CIRCUIT = _object(0, format=_scalar(CIRCUIT_FORMAT), version=_scalar(FORMAT_VERSION),
-                   num_qubits=None, num_clbits=None, instructions=None) + "\n"
+def _record(instr) -> dict:
+    if isinstance(instr, StandardGate):
+        return {"kind": "gate", "name": instr.name, "params": instr.params,
+                "qubits": instr.qubits}
+    if isinstance(instr, OpaqueUnitary):
+        m = np.ascontiguousarray(instr.matrix, dtype=np.complex128)
+        return {"kind": "unitary", "label": instr.label, "qubits": instr.qubits,
+                "matrix": m.view(np.float64).reshape(*m.shape, 2).tolist()}
+    if isinstance(instr, Measure):
+        return {"kind": "measure", "qubit": instr.qubit, "clbit": instr.clbit}
+    if isinstance(instr, Reset):
+        return {"kind": "reset", "qubit": instr.qubit}
+    return {"kind": "barrier", "qubits": instr.qubits}
 
 
 def write_json(c: Circuit) -> str:
-    """The circuit document: the same bytes as json.dumps(doc, indent=2) plus a newline."""
-    records = []
-    for instr in c.instructions:
-        if isinstance(instr, StandardGate):
-            records.append(_GATE % (
-                _scalar(instr.name), _numbers(instr.params, 3), _numbers(instr.qubits, 3)))
-        elif isinstance(instr, OpaqueUnitary):
-            records.append(_UNITARY % (
-                _scalar(instr.label), _numbers(instr.qubits, 3), _matrix(instr.matrix)))
-        elif isinstance(instr, Measure):
-            records.append(_MEASURE % (_scalar(instr.qubit), _scalar(instr.clbit)))
-        elif isinstance(instr, Reset):
-            records.append(_RESET % _scalar(instr.qubit))
-        elif isinstance(instr, Barrier):
-            records.append(_BARRIER % _numbers(instr.qubits, 3))
-    return _CIRCUIT % (_scalar(c.num_qubits), _scalar(c.num_clbits), _join(records, 1))
+    """The circuit document, one instruction per line."""
+    head = {"format": CIRCUIT_FORMAT, "version": FORMAT_VERSION,
+            "num_qubits": c.num_qubits, "num_clbits": c.num_clbits}
+    return _document(head, "instructions", map(_record, c.instructions))
 
 
 def read_json(text: str) -> Circuit:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -48,11 +49,7 @@ from .jsonio import (
     FORMAT_VERSION,
     KEY_FORMAT,
     SchemaError,
-    _floats,
-    _join,
-    _numbers,
-    _object,
-    _scalar,
+    _document,
     _value,
     _values,
 )
@@ -182,6 +179,8 @@ def obfuscate(
     ``global_params`` pins the sampled basis of every segment in global mode
     (used by the fixed-key case study); the key records it like any sample.
     """
+    if global_params is not None and mode is not ObfuscationMode.GLOBAL:
+        raise ObfuscationError("global_params only valid in global mode")
     rng = np.random.default_rng(seed)
     m = gate_count(c)
     if mode is ObfuscationMode.SUBSET:
@@ -417,49 +416,22 @@ def key_from_dict(doc: dict) -> ObfuscationKey:
         raise SchemaError(str(exc)) from exc
 
 
-def _angles(params) -> list[float]:
-    return [x for p in params for x in p.as_tuple()]
-
-
-@functools.lru_cache(maxsize=16)
-def _block_template(n_left: int, n_right: int) -> str:
-    """%-template of a block record whose left and right hold n_left and n_right
-    triples, one slot per angle."""
-    def triples(n):
-        return _join([_join(["%s"] * 3, 4)] * n, 3)
-
-    return _object(2, kind=_scalar("block"), label=None, gate_index=None, original=None,
-                   qubits=None, left=triples(n_left), right=triples(n_right))
-
-
-_BOUNDARY = _object(2, kind=_scalar("boundary"), label=None, segment=None, qubit=None,
-                    params=_join(["%s"] * 3, 3), role=None)
-_KEY_FIELDS = dict(format=_scalar(KEY_FORMAT), version=_scalar(FORMAT_VERSION), seed=None,
-                   mode=None, num_qubits=None, num_gates=None, records=None,
-                   segment_params=None)
-_KEY = _object(0, **_KEY_FIELDS) + "\n"
-_SUBSET_KEY = _object(0, **_KEY_FIELDS, protected=None) + "\n"
-
-
 def write_key_json(key: ObfuscationKey) -> str:
-    """The key document: the same bytes as json.dumps(doc, indent=2) plus a newline."""
-    records = [
-        _block_template(len(r.left), len(r.right)) % (
-            _scalar(r.label), _scalar(r.gate_index), _scalar(r.original),
-            _numbers(r.qubits, 3), *_floats(_angles(r.left) + _angles(r.right)))
-        for r in key.blocks
-    ]
-    records += [
-        _BOUNDARY % (_scalar(r.label), _scalar(r.segment), _scalar(r.qubit),
-                     *_floats(r.params.as_tuple()), _scalar(r.role))
-        for r in key.boundaries
-    ]
-    segment_params = _join([_numbers(p.as_tuple(), 2) for p in key.segment_params], 1)
-    head = (_scalar(key.seed), _scalar(key.mode.value), _scalar(key.num_qubits),
-            _scalar(key.num_gates), _join(records, 1), segment_params)
-    if key.protected is None:
-        return _KEY % head
-    return _SUBSET_KEY % (*head, _numbers(key.protected, 1))
+    """The key document, one block or boundary record per line."""
+    head = {"format": KEY_FORMAT, "version": FORMAT_VERSION, "seed": key.seed,
+            "mode": key.mode.value, "num_qubits": key.num_qubits, "num_gates": key.num_gates}
+    blocks = ({"kind": "block", "label": r.label, "gate_index": r.gate_index,
+               "original": r.original, "qubits": r.qubits,
+               "left": [t.as_tuple() for t in r.left],
+               "right": [t.as_tuple() for t in r.right]}
+              for r in key.blocks)
+    boundaries = ({"kind": "boundary", "label": r.label, "segment": r.segment,
+                   "qubit": r.qubit, "params": r.params.as_tuple(), "role": r.role}
+                  for r in key.boundaries)
+    tail = {"segment_params": [p.as_tuple() for p in key.segment_params]}
+    if key.protected is not None:
+        tail["protected"] = key.protected
+    return _document(head, "records", itertools.chain(blocks, boundaries), tail)
 
 
 def read_key_json(text: str) -> ObfuscationKey:

@@ -1,8 +1,9 @@
 """Reference encoder for the artifact writers: the documents as dicts, then
 ``json.dumps(doc, indent=2) + "\\n"``.
 
-``write_json`` and ``write_key_json`` must produce these bytes exactly; the
-tests compare the two on generated circuits and keys.
+The writers emit the same documents in a compact layout; ``reindent`` of their
+text must give these bytes exactly. The tests compare the two on generated
+circuits and keys.
 """
 import json
 
@@ -94,3 +95,8 @@ def reference_write_json(c) -> str:
 
 def reference_write_key_json(key) -> str:
     return json.dumps(key_to_dict(key), indent=2) + "\n"
+
+
+def reindent(text: str) -> str:
+    """A document's text as json.dumps(indent=2) lays it out."""
+    return json.dumps(json.loads(text), indent=2) + "\n"

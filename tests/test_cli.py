@@ -5,6 +5,7 @@ import pytest
 
 from qobf.circuit import gate_count
 from qobf.cli import (
+    EXIT_IO,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_SIMCAP,
@@ -71,7 +72,35 @@ class TestObfuscate:
             "obfuscate", "--in", str(tmp_path / "nope.qasm"),
             "--out", str(tmp_path / "o.json"),
         ])
-        assert rc != EXIT_OK
+        assert rc == EXIT_IO
+        assert "nope.qasm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--out", "--key-out"])
+    def test_output_into_missing_directory(self, tmp_path, bell_qasm, capsys, flag):
+        paths = {"--out": str(tmp_path / "o.json"), "--key-out": str(tmp_path / "k.json")}
+        paths[flag] = str(tmp_path / "missing" / "x.json")
+        rc = main(["obfuscate", "--in", bell_qasm, *(a for kv in paths.items() for a in kv)])
+        assert rc == EXIT_IO
+        captured = capsys.readouterr()
+        assert paths[flag] in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_non_utf8_byte_is_located(self, tmp_path, capsys):
+        bad = tmp_path / "bad.qasm"
+        bad.write_bytes(b"OPENQASM 2.0;\nqreg q[1];\nh q[0]\xff;\n")
+        rc = main(["obfuscate", "--in", str(bad), "--out", str(tmp_path / "o.json")])
+        assert rc == EXIT_PARSE
+        assert "line 3, col 7" in capsys.readouterr().err
+
+    def test_non_utf8_byte_in_comment_is_skipped(self, tmp_path):
+        src = tmp_path / "c.qasm"
+        src.write_bytes(b"OPENQASM 2.0;\nqreg q[1];\nh q[0]; // \xff\n")
+        assert main(["obfuscate", "--in", str(src), "--out", str(tmp_path / "o.json")]) == EXIT_OK
+
+    def test_non_utf8_json_is_a_validation_error(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"format": "qobf-circuit\xff"}')
+        assert main(["analyze", "--in", str(bad)]) == EXIT_VALIDATION
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.qasm"
@@ -281,6 +310,16 @@ class TestBench:
             "bv", "dj", "grover3", "phase_kickback", "qaoa_maxcut",
             "qft", "shor_mod15_order", "simon", "toffoli", "vqe_ansatz",
         }
+
+    def test_case_study_out_under_a_file(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = str(blocker / "sub")
+        rc = main(["bench", "--runs", "1", "--shots", "16", "--case-study-out", out])
+        assert rc == EXIT_IO
+        captured = capsys.readouterr()
+        assert out in captured.err
+        assert "Traceback" not in captured.out + captured.err
 
 
 class TestTopLevel:

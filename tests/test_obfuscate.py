@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import max_abs_diff, strip_measurements
+from json_reference import reindent
 
 from qobf.bench import CASE_STUDY_KEY, PAPER_SUITE, generate, qaoa_maxcut
 from qobf.circuit import (
@@ -163,6 +164,14 @@ class TestStructure:
     def test_subset_size_rejected_elsewhere(self):
         with pytest.raises(ObfuscationError):
             obfuscate(bell(), ObfuscationMode.GLOBAL, seed=0, subset_size=1)
+
+    @pytest.mark.parametrize("mode, subset_size", [
+        (ObfuscationMode.CHAINED, None), (ObfuscationMode.SUBSET, 1),
+    ])
+    def test_global_params_rejected_elsewhere(self, mode, subset_size):
+        with pytest.raises(ObfuscationError, match="global_params only valid in global mode"):
+            obfuscate(bell(), mode, seed=0, subset_size=subset_size,
+                      global_params=CASE_STUDY_KEY)
 
 
 class TestValidatedOnce:
@@ -342,23 +351,37 @@ GOLDEN_INPUTS = [(s.name, generate(s.name, **s.params)) for s in PAPER_SUITE] + 
 ]
 
 
+def golden_digest(layout) -> str:
+    """SHA-256 of ``layout`` of the circuit and key JSON of every mode for fixed seeds."""
+    h = hashlib.sha256()
+    runs = [
+        obfuscate(
+            c, mode, seed=seed,
+            subset_size=gate_count(c) // 2 if mode is ObfuscationMode.SUBSET else None,
+        )
+        for _, c in GOLDEN_INPUTS
+        for mode in ObfuscationMode
+        for seed in (0, 3, 17)
+    ]
+    runs.append(obfuscate(
+        qaoa_maxcut(), ObfuscationMode.GLOBAL, seed=0, global_params=CASE_STUDY_KEY
+    ))
+    for obf in runs:
+        h.update(layout(write_json(obf.circuit)).encode())
+        h.update(layout(write_key_json(obf.key)).encode())
+    return h.hexdigest()
+
+
 class TestGolden:
     def test_artifacts_byte_identical(self):
-        """Circuit and key JSON of every mode for fixed seeds, pinned by digest."""
-        h = hashlib.sha256()
-        runs = [
-            obfuscate(
-                c, mode, seed=seed,
-                subset_size=gate_count(c) // 2 if mode is ObfuscationMode.SUBSET else None,
-            )
-            for _, c in GOLDEN_INPUTS
-            for mode in ObfuscationMode
-            for seed in (0, 3, 17)
-        ]
-        runs.append(obfuscate(
-            qaoa_maxcut(), ObfuscationMode.GLOBAL, seed=0, global_params=CASE_STUDY_KEY
-        ))
-        for obf in runs:
-            h.update(write_json(obf.circuit).encode())
-            h.update(write_key_json(obf.key).encode())
-        assert h.hexdigest() == "76df96dbc98545bce55e278476dec5fc105156c0e81a2ee13cba6993a0c9c687"
+        """Re-indented, the artifacts are the documents pinned when the writers
+        emitted json.dumps(indent=2)."""
+        assert golden_digest(reindent) == (
+            "76df96dbc98545bce55e278476dec5fc105156c0e81a2ee13cba6993a0c9c687"
+        )
+
+    def test_compact_bytes_pinned(self):
+        """The artifacts as written: one compact record per line."""
+        assert golden_digest(lambda text: text) == (
+            "a19959f64d3de6e5f3fbb273b4f7c7e3daead4f424dd06bb1f115e98dcb127a2"
+        )

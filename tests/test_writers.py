@@ -1,11 +1,13 @@
-"""The artifact writers emit the bytes of the reference encoder, json.dumps(indent=2)."""
+"""The artifact writers emit the reference encoder's documents: re-indented, their
+text is the bytes of json.dumps(indent=2)."""
+import json
 from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from json_reference import reference_write_json, reference_write_key_json
+from json_reference import reference_write_json, reference_write_key_json, reindent
 
 from qobf.circuit import Barrier, Circuit, Measure, OpaqueUnitary, Reset, StandardGate
 from qobf.jsonio import write_json
@@ -103,12 +105,12 @@ class TestSameBytesAsReference:
     @given(circuits())
     @settings(max_examples=300, deadline=None)
     def test_write_json(self, c):
-        assert write_json(c) == reference_write_json(c)
+        assert reindent(write_json(c)) == reference_write_json(c)
 
     @given(keys())
     @settings(max_examples=300, deadline=None)
     def test_write_key_json(self, key):
-        assert write_key_json(key) == reference_write_key_json(key)
+        assert reindent(write_key_json(key)) == reference_write_key_json(key)
 
     # Angles past about 1e15 lose phi + lam to rounding and give gate matrices
     # that are not unitary, which obfuscate rightly refuses.
@@ -119,32 +121,48 @@ class TestSameBytesAsReference:
         gates = sum(isinstance(i, (StandardGate, OpaqueUnitary)) for i in c.instructions)
         obf = obfuscate(c, mode, seed, subset_size=gates // 2
                         if mode is ObfuscationMode.SUBSET else None)
-        assert write_json(obf.circuit) == reference_write_json(obf.circuit)
-        assert write_key_json(obf.key) == reference_write_key_json(obf.key)
+        assert reindent(write_json(obf.circuit)) == reference_write_json(obf.circuit)
+        assert reindent(write_key_json(obf.key)) == reference_write_key_json(obf.key)
 
     def test_empty_circuit(self):
         c = Circuit(1, 0, ())
-        assert write_json(c) == reference_write_json(c)
+        assert reindent(write_json(c)) == reference_write_json(c)
 
     @pytest.mark.parametrize("protected", [None, (), (0, 2)])
     def test_key_without_records(self, protected):
         key = ObfuscationKey(0, ObfuscationMode.SUBSET, 2, 3, (), (), (), protected)
-        assert write_key_json(key) == reference_write_key_json(key)
+        assert reindent(write_key_json(key)) == reference_write_key_json(key)
 
     def test_matrix_changed_after_construction(self):
         """The writers spell non-finite entries as json.dumps does, even where
         no constructor would have let them in."""
         c = Circuit(1, 0, (OpaqueUnitary("u", (0,), np.eye(2, dtype=np.complex128)),))
         c.instructions[0].matrix[0] = [complex(float("nan"), float("-inf")), float("inf")]
-        assert write_json(c) == reference_write_json(c)
+        assert reindent(write_json(c)) == reference_write_json(c)
 
     def test_wide_opaque_block(self):
-        """Blocks past 3 qubits take the same path; the template cache stays bounded."""
+        """Blocks past 3 qubits take the same path."""
         rng = np.random.default_rng(5)
         for k in (4, 5):
             z = rng.normal(size=(2 ** k,) * 2) + 1j * rng.normal(size=(2 ** k,) * 2)
             c = Circuit(k, 0, (OpaqueUnitary("wide", tuple(range(k)), np.linalg.qr(z)[0]),))
-            assert write_json(c) == reference_write_json(c)
+            assert reindent(write_json(c)) == reference_write_json(c)
+
+
+class TestLayout:
+    @pytest.mark.parametrize("mode", list(ObfuscationMode))
+    def test_one_record_per_line(self, mode):
+        """The header line opens the record list, each record is one line, and
+        the last line closes the document."""
+        c = Circuit(2, 2, (StandardGate("h", (), (0,)), StandardGate("cx", (), (0, 1)),
+                           Measure(0, 0), StandardGate("rz", (0.5,), (1,)), Measure(1, 1)))
+        obf = obfuscate(c, mode, 4, subset_size=2 if mode is ObfuscationMode.SUBSET else None)
+        for text, field in ((write_json(obf.circuit), "instructions"),
+                            (write_key_json(obf.key), "records")):
+            lines = text.splitlines()
+            assert lines[0].endswith(f'"{field}":[') and lines[-1].startswith("]")
+            assert [json.loads(line.rstrip(",")) for line in lines[1:-1]] == \
+                json.loads(text)[field]
 
 
 def _circuit_with(value):
