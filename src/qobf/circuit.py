@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import U3Params, apply_to_tensor, is_unitary, u3_matrix
+from .linalg import MAX_PHASE, U3Params, apply_to_tensor, is_unitary, u3_matrix
 
 
 class CircuitError(ValueError):
@@ -89,6 +89,8 @@ GATE_SIGNATURES: dict[str, tuple[int, int]] = {
     "ccx": (0, 3),
     "rzz": (1, 2),
 }
+
+PHASE_PAIR_GATES = ("u2", "u3", "u")  # the last two parameters are phi, lam
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -193,8 +195,8 @@ class Circuit:
         """Check instruction types, index ranges, gate signatures and arity.
 
         Runs once, at construction, so no malformed circuit exists. Gates are
-        checked against ``GATE_SIGNATURES`` and for finite parameters; no
-        matrix is built.
+        checked against ``GATE_SIGNATURES``, for finite parameters and for
+        phases within ``MAX_PHASE``; no matrix is built.
         """
         for i, instr in enumerate(self.instructions):
             if isinstance(instr, (StandardGate, OpaqueUnitary, Barrier)):
@@ -220,40 +222,37 @@ class Circuit:
                     raise CircuitError(
                         f"instruction {i}: gate {instr.name!r} has a non-finite parameter"
                     )
+                if instr.name in PHASE_PAIR_GATES and max(map(abs, instr.params[-2:])) > MAX_PHASE:
+                    raise CircuitError(
+                        f"instruction {i}: gate {instr.name!r} has a phase angle beyond 2**24"
+                    )
 
 
-@dataclass(frozen=True)
-class SegmentView:
-    """Maximal unitary instruction ranges separated by Measure/Reset."""
-
-    segments: tuple[tuple[int, int], ...]  # half-open [start, end) ranges
-    boundaries: tuple[int, ...]  # indices of Measure/Reset instructions
-
-
-def segment(c: Circuit) -> SegmentView:
+def segment(c: Circuit) -> tuple[tuple[int, int], ...]:
+    """Maximal unitary instruction ranges, half-open [start, end), separated by
+    Measure/Reset; every range but the last ends at its Measure/Reset."""
     segments: list[tuple[int, int]] = []
-    boundaries: list[int] = []
     start = 0
     for i, instr in enumerate(c.instructions):
         if isinstance(instr, (Measure, Reset)):
             segments.append((start, i))
-            boundaries.append(i)
             start = i + 1
     segments.append((start, len(c.instructions)))
-    return SegmentView(tuple(segments), tuple(boundaries))
+    return tuple(segments)
 
 
-def windowed_segments(c: Circuit, view: SegmentView) -> tuple[bool, ...]:
-    """Per segment of ``view``: does global/chained obfuscation give it a basis window?
+def windowed_segments(c: Circuit) -> tuple[bool, ...]:
+    """Per ``segment(c)`` range: does global/chained obfuscation give it a basis window?
 
     A gate-bearing segment gets one; a gate-free segment (e.g. the tail after
     terminal measurements) gets one only when it is the whole circuit.
     """
-    if len(view.segments) == 1:
+    segments = segment(c)
+    if len(segments) == 1:
         return (True,)
     return tuple(
         any(isinstance(i, (StandardGate, OpaqueUnitary)) for i in c.instructions[a:b])
-        for a, b in view.segments
+        for a, b in segments
     )
 
 

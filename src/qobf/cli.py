@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import __version__
 from .bench import paper_case_study, run_paper_suite, write_case_study_artifacts
-from .circuit import Circuit, gate_count, segment, windowed_segments
+from .circuit import Circuit, gate_count, windowed_segments
 from .jsonio import counts_to_json, read_json, write_json
 from .metrics import closed_form_counts, overhead, timed_compare
 from .obfuscate import (
@@ -43,8 +43,8 @@ class CliFailure(Exception):
 def load_circuit(path: str) -> Circuit:
     """Load QASM or JSON, auto-detected by extension then content sniffing.
 
-    JSON must be UTF-8. In QASM each undecodable byte becomes one replacement
-    character, which the tokenizer reports with its line and column.
+    JSON must be UTF-8. QASM is decoded with ``surrogateescape``, so the
+    tokenizer names an undecodable byte with its line and column.
     """
     data = Path(path).read_bytes()
     suffix = Path(path).suffix.lower()
@@ -52,7 +52,7 @@ def load_circuit(path: str) -> Circuit:
     is_json = suffix == ".json" or (suffix not in (".qasm", ".qasm2") and sniffed_json)
     if is_json:
         return read_json(data.decode())
-    return parse(data.decode(errors="replace"))
+    return parse(data.decode(errors="surrogateescape"))
 
 
 def _print_overhead(report, as_json: bool):
@@ -83,9 +83,14 @@ def cmd_obfuscate(args) -> int:
     original = load_circuit(getattr(args, "in"))
     mode = ObfuscationMode(args.mode)
     result = obfuscate(original, mode, seed=args.seed, subset_size=args.subset_size)
-    Path(args.out).write_text(write_json(result.circuit))
+    out = Path(args.out)
+    out.write_text(write_json(result.circuit))
     if args.key_out:
-        Path(args.key_out).write_text(write_key_json(result.key))
+        try:
+            Path(args.key_out).write_text(write_key_json(result.key))
+        except OSError:
+            out.unlink()  # both files or neither: no circuit without its key
+            raise
     _print_overhead(overhead(original, result.circuit, mode=mode.value), args.json)
     return EXIT_OK
 
@@ -148,7 +153,7 @@ def cmd_analyze(args) -> int:
     # The closed forms hold for global/chained. An artifact has the gate-bearing
     # segments of its original, so either one gives the window count w.
     if mode is not ObfuscationMode.SUBSET:
-        w = sum(windowed_segments(circuit, segment(circuit)))
+        w = sum(windowed_segments(circuit))
         pre_fusion, final = closed_form_counts(m, n, w)
         overhead["projection"] = {"pre_fusion_count": pre_fusion, "final_count": final}
     if args.json:

@@ -18,6 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+# Bound on |phi| and |lam| of a U3 triple: beyond it the rounded phi + lam in
+# exp(i(phi + lam)) can leave the matrix outside the 1e-9 unitarity check.
+MAX_PHASE = 2.0 ** 24
 
 
 class LinalgError(ValueError):

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .circuit import Barrier, Circuit, depth, gate_count, segment, windowed_segments
+from .circuit import Barrier, Circuit, depth, gate_count, windowed_segments
 from .simulate import DEFAULT_MAX_QUBITS, Counts, run
 
 
@@ -65,27 +65,17 @@ def semantic_accuracy(original: Counts, obfuscated: Counts) -> float:
 
 
 def tvd(original: Counts, obfuscated: Counts) -> float:
-    """Half the L1 distance between the two count histograms.
-
-    Unequal shot totals fall back to probability normalization (the count
-    form assumes matching totals).
-    """
-    if original.shots <= 0 or obfuscated.shots <= 0:
+    """Half the L1 distance between the normalized histograms, exactly:
+    sum |a_k S_b - b_k S_a| / (2 S_a S_b) in integers, rounded once."""
+    sa, sb = original.shots, obfuscated.shots
+    if sa <= 0 or sb <= 0:
         raise MetricsError("zero-shot counts")
     keys = set(original.counts) | set(obfuscated.counts)
-    if original.shots == obfuscated.shots:
-        diff = sum(
-            abs(original.counts.get(k, 0) - obfuscated.counts.get(k, 0)) for k in keys
-        )
-        return diff / (2.0 * original.shots)
     diff = sum(
-        abs(
-            original.counts.get(k, 0) / original.shots
-            - obfuscated.counts.get(k, 0) / obfuscated.shots
-        )
+        abs(original.counts.get(k, 0) * sb - obfuscated.counts.get(k, 0) * sa)
         for k in keys
     )
-    return diff / 2.0
+    return diff / (2 * sa * sb)
 
 
 def overhead(
@@ -108,7 +98,7 @@ def overhead(
     measured = gate_count(obfuscated)
     d_orig = depth(original)
     d_obf = depth(obfuscated)
-    w = sum(windowed_segments(original, segment(original)))
+    w = sum(windowed_segments(original))
     pre_fusion, final = closed_form_counts(m, n, w)
     consistent = True
     if mode in ("global", "chained"):

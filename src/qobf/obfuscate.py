@@ -54,6 +54,7 @@ from .jsonio import (
     _values,
 )
 from .linalg import (
+    MAX_PHASE,
     TWO_PI,
     U3Params,
     adjoint,
@@ -179,8 +180,11 @@ def obfuscate(
     ``global_params`` pins the sampled basis of every segment in global mode
     (used by the fixed-key case study); the key records it like any sample.
     """
-    if global_params is not None and mode is not ObfuscationMode.GLOBAL:
-        raise ObfuscationError("global_params only valid in global mode")
+    if global_params is not None:
+        if mode is not ObfuscationMode.GLOBAL:
+            raise ObfuscationError("global_params only valid in global mode")
+        if max(abs(global_params.phi), abs(global_params.lam)) > MAX_PHASE:
+            raise ObfuscationError("global_params phase angle beyond 2**24")
     rng = np.random.default_rng(seed)
     m = gate_count(c)
     if mode is ObfuscationMode.SUBSET:
@@ -238,17 +242,14 @@ def obfuscate(
         ))
         cur.update(zip(instr.qubits, nxt))
 
-    view = segment(c)
     # No window around a gate-free segment: its basis layers would inflate the
     # gate count without hiding anything.
-    windowed = windowed_segments(c, view)
     gate_idx = 0
-    for si, (start, end) in enumerate(view.segments):
-        body = c.instructions[start:end]
-        seg_window = protected is None and windowed[si]
+    for si, ((start, end), windowed) in enumerate(zip(segment(c), windowed_segments(c))):
+        seg_window = protected is None and windowed
         if seg_window:
             open_window(f"s{si}", si, range(c.num_qubits))
-        for instr in body:
+        for instr in c.instructions[start:end]:
             if isinstance(instr, Barrier):
                 out.append(instr)
                 continue
@@ -263,8 +264,8 @@ def obfuscate(
             gate_idx += 1
         if seg_window:
             close_window(f"s{si}", si)
-        if si < len(view.boundaries):
-            out.append(c.instructions[view.boundaries[si]])
+        if end < len(c.instructions):
+            out.append(c.instructions[end])
 
     key = ObfuscationKey(
         seed=seed,
@@ -343,6 +344,8 @@ def _params_from_json(v, what: str, at: str = "") -> U3Params:
     p = U3Params(*map(float, _values(v, _NUM, what, at)))
     if not (math.isfinite(p.theta) and math.isfinite(p.phi) and math.isfinite(p.lam)):
         raise SchemaError(f"{at}{what} angle must be finite")
+    if max(abs(p.phi), abs(p.lam)) > MAX_PHASE:
+        raise SchemaError(f"{at}{what} phase angle beyond 2**24")
     return p
 
 

@@ -18,12 +18,13 @@ from .circuit import (
     Barrier,
     Circuit,
     GATE_SIGNATURES,
+    PHASE_PAIR_GATES,
     Measure,
     OpaqueUnitary,
     Reset,
     StandardGate,
 )
-from .linalg import TWO_PI, U3Params, is_unitary
+from .linalg import MAX_PHASE, TWO_PI, U3Params, is_unitary
 
 
 class ParseError(Exception):
@@ -79,7 +80,10 @@ def _tokenize(text: str) -> Iterator[_Token]:
             what = "block comment" if value == "/*" else "string literal"
             raise ParseError(line, m.start() - line_start + 1, f"unterminated {what}")
         elif kind == "bad":
-            raise ParseError(line, m.start() - line_start + 1, f"unexpected character {value!r}")
+            what = f"unexpected character {value!r}"
+            if "\udc80" <= value <= "\udcff":  # a byte surrogateescape could not decode
+                what = f"non-UTF-8 byte 0x{ord(value) - 0xDC00:02x}"
+            raise ParseError(line, m.start() - line_start + 1, what)
         if "\n" in value:
             line += value.count("\n")
             line_start = m.end()
@@ -416,6 +420,8 @@ class _Parser:
                     self.error(tok, f"gate {name!r} expects {nparams} parameter(s)", "arity")
                 if not all(map(math.isfinite, params)):
                     self.error(tok, f"gate {name!r} has a non-finite parameter", "value")
+                if name in PHASE_PAIR_GATES and max(map(abs, params[-2:])) > MAX_PHASE:
+                    self.error(tok, f"gate {name!r} has a phase angle beyond 2**24", "value")
                 if len(qubits) != arity:
                     self.error(tok, f"gate {name!r} expects {arity} qubit(s)", "arity")
                 if len(set(qubits)) != arity:

@@ -6,7 +6,7 @@ White-box: hidden-subset guessing over the C(n, x) obfuscation patterns.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 from .linalg import TWO_PI
 from .obfuscate import ObfuscatedCircuit, ObfuscationMode
@@ -79,17 +79,7 @@ def audit_circuit(obf: ObfuscatedCircuit) -> SecurityReport:
     if key is None:
         raise SecurityError("audit requires the obfuscation key")
     n = key.num_gates
-    if key.mode is ObfuscationMode.SUBSET:
-        x = len(key.protected or ())
-    else:
-        x = n
-    report = whitebox_profile(n, x) if n > 0 else SecurityReport(
-        "white-box", {"n": 0, "x": 0}, 1.0, 0.0, "empty circuit"
-    )
-    if key.mode is not ObfuscationMode.SUBSET and report.warning is None:
-        report = replace(
-            report,
-            warning=f"{key.mode.value} mode protects every gate (x = n): "
-            "zero pattern entropy in the white-box model",
-        )
-    return report
+    x = len(key.protected or ()) if key.mode is ObfuscationMode.SUBSET else n
+    if n == 0:
+        return SecurityReport("white-box", {"n": 0, "x": 0}, 1.0, 0.0, "empty circuit")
+    return whitebox_profile(n, x)

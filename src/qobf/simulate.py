@@ -81,37 +81,33 @@ def _terminal_fold(measures, num_qubits: int, num_clbits: int):
     last = {mv.clbit: mv.qubit for mv in measures}  # a later measure overwrites
     if not last:
         return lambda state, base, weight, rng: [(_bitstring(base, num_clbits), weight)]
-    # Qubits whose measurement survives, ranked by the highest clbit each
-    # writes: with the joint distribution's axes in descending rank, its flat
-    # index (the rank) sorts like the bitstrings.
-    top = {q: cb for cb, q in sorted(last.items())}
-    ranked = sorted(top, key=top.get)
-    other_axes = tuple(num_qubits - 1 - q for q in range(num_qubits) if q not in top)
-    descending = sorted(top, reverse=True)  # axis order left by the sum
-    axes = [descending.index(q) for q in reversed(ranked)]
-    # clbit mask of each rank bit, to spread a rank onto the clbits
-    masks = np.array(
-        [sum(1 << cb for cb, x in last.items() if x == q) for q in ranked],
-        dtype=np.int64 if num_clbits < 64 else object,
-    )
-    bits = np.arange(len(ranked))
+    # Bit i of the joint distribution's flat index is qubit kept[i]; code[j] is
+    # the clbit value that index j writes. Sorted, the codes sort like the
+    # bitstrings, and order maps each sorted position back to its index.
+    kept = sorted(set(last.values()))
+    other_axes = tuple(num_qubits - 1 - q for q in range(num_qubits) if q not in kept)
+    index = np.arange(2 ** len(kept))
+    code = np.zeros(len(index), dtype=np.int64 if num_clbits < 64 else object)
+    for cb, q in last.items():
+        code |= ((index >> kept.index(q)) & 1).astype(code.dtype) << cb
+    order = np.argsort(code)
+    code = code[order]
     untouched = ~sum(1 << cb for cb in last)  # clbits no terminal measure writes
 
     def fold(state, base, weight, rng):
         p = (np.abs(state) ** 2).reshape((2,) * num_qubits)
         joint = p.sum(axis=other_axes) if other_axes else p
-        values = joint.transpose(axes).ravel() * (weight if rng is None else 1.0)
+        values = joint.ravel()[order] * (weight if rng is None else 1.0)
         keys = np.flatnonzero(values > (_PRUNE if rng is None else _CLIP))
         out = values[keys]
         if rng is not None:
             draws = rng.multinomial(weight, out / out.sum())
             hit = np.flatnonzero(draws)
             keys, out = keys[hit], draws[hit]
-        codes = ((keys[:, None] >> bits) & 1) @ masks
         base &= untouched
         return [
-            (_bitstring(code | base, num_clbits), w)
-            for code, w in zip(codes.tolist(), out.tolist())
+            (_bitstring(bits | base, num_clbits), w)
+            for bits, w in zip(code[keys].tolist(), out.tolist())
         ]
 
     return fold

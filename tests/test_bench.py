@@ -124,6 +124,15 @@ class TestSuite:
             assert row.structure.consistent
             assert 0.0 <= row.report.tvd <= 1.0
 
+    def test_run_paper_suite_subset_mode(self):
+        rows = run_paper_suite(
+            modes=(ObfuscationMode.SUBSET,), shots=128, runs=1, seed=0, specs=PAPER_SUITE[:2],
+        )
+        assert [(r.name, r.mode) for r in rows] == [(s.name, "subset") for s in PAPER_SUITE[:2]]
+        for row in rows:
+            assert 0.0 <= row.report.tvd <= 1.0
+            assert row.structure.measured_count > row.structure.m  # half the gates hidden
+
     def test_suite_deterministic_across_calls(self):
         kw = dict(modes=(ObfuscationMode.GLOBAL,), shots=128, runs=1, seed=3,
                   specs=PAPER_SUITE[:2])

@@ -1,4 +1,6 @@
 """Tests for the circuit IR: instructions, validation, structure queries."""
+import math
+
 import numpy as np
 import pytest
 from helpers import concat, lifted_operator, max_abs_diff, strip_measurements
@@ -167,6 +169,27 @@ class TestValidation:
             Circuit(1, 0, (StandardGate("h", (), (0,)), StandardGate("rx", (value,), (0,))))
 
 
+    @pytest.mark.parametrize("num_qubits, num_clbits, message", [
+        (0, 0, "num_qubits must be positive"), (1, -1, "num_clbits must be non-negative"),
+    ])
+    def test_register_sizes(self, num_qubits, num_clbits, message):
+        with pytest.raises(CircuitError, match=message):
+            Circuit(num_qubits, num_clbits, ())
+
+    @pytest.mark.parametrize("name, params", [
+        ("u2", lambda x: (1.0, x)), ("u3", lambda x: (0.3, -x, 2.9)), ("u", lambda x: (0.3, 0.0, x)),
+    ])
+    def test_phase_angle_bound(self, name, params):
+        def gate(x):
+            return StandardGate(name, params(x), (0,))
+
+        c = Circuit(1, 0, (gate(2.0 ** 24),))
+        assert is_unitary(instruction_matrix(c.instructions[0]))
+        with pytest.raises(CircuitError, match=f"instruction 1: gate '{name}' has a phase angle "
+                                               r"beyond 2\*\*24"):
+            Circuit(1, 0, (StandardGate("h", (), (0,)), gate(math.nextafter(2.0 ** 24, math.inf))))
+
+
 class TestStructure:
     def test_gate_count_ignores_non_gates(self):
         c = Circuit(
@@ -202,9 +225,8 @@ class TestStructure:
         assert depth(c) == 2
 
     def test_segment_boundaries(self):
-        view = segment(bell_circuit())
-        assert view.segments == ((0, 2), (3, 3), (4, 4))
-        assert view.boundaries == (2, 3)
+        # every range but the last ends at its Measure/Reset
+        assert segment(bell_circuit()) == ((0, 2), (3, 3), (4, 4))
 
     def test_strip_measurements(self):
         stripped = strip_measurements(bell_circuit())

@@ -67,6 +67,13 @@ class TestObfuscate:
         b, _ = obfuscate_bell(tmp_path, bell_qasm, seed="9")
         assert open(b).read() == text_a
 
+    def test_json_overhead_report(self, tmp_path, bell_qasm, capsys):
+        rc = main(["obfuscate", "--in", bell_qasm, "--out", str(tmp_path / "o.json"), "--json"])
+        assert rc == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["m"], doc["n"], doc["windows"]) == (2, 2, 1)
+        assert doc["final_count"] == doc["measured_count"] == 6 and doc["consistent"]
+
     def test_missing_input(self, tmp_path, capsys):
         rc = main([
             "obfuscate", "--in", str(tmp_path / "nope.qasm"),
@@ -84,13 +91,15 @@ class TestObfuscate:
         captured = capsys.readouterr()
         assert paths[flag] in captured.err
         assert "Traceback" not in captured.out + captured.err
+        # both files or neither: no circuit is left without its key
+        assert not (tmp_path / "o.json").exists() and not (tmp_path / "k.json").exists()
 
     def test_non_utf8_byte_is_located(self, tmp_path, capsys):
         bad = tmp_path / "bad.qasm"
         bad.write_bytes(b"OPENQASM 2.0;\nqreg q[1];\nh q[0]\xff;\n")
         rc = main(["obfuscate", "--in", str(bad), "--out", str(tmp_path / "o.json")])
         assert rc == EXIT_PARSE
-        assert "line 3, col 7" in capsys.readouterr().err
+        assert "line 3, col 7: non-UTF-8 byte 0xff" in capsys.readouterr().err
 
     def test_non_utf8_byte_in_comment_is_skipped(self, tmp_path):
         src = tmp_path / "c.qasm"

@@ -1,5 +1,6 @@
 """Tests for JSON serialization of circuits and counts."""
 import json
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from qobf.jsonio import (
     read_json,
     write_json,
 )
+from qobf.linalg import U3Params
 from qobf.obfuscate import ObfuscationMode, obfuscate, read_key_json, write_key_json
 from qobf.qasm import parse
 
@@ -97,6 +99,9 @@ class TestSchemaErrors:
     def test_not_json(self):
         with pytest.raises((SchemaError, json.JSONDecodeError)):
             read_json("not json at all")
+
+
+BEYOND_PHASE = math.nextafter(2.0 ** 24, math.inf)  # the first phase angle refused
 
 
 def sample_key_doc():
@@ -231,10 +236,24 @@ class TestDomainErrors:
         (with_boundary(qubit=5), r"key record \d+: qubit 5 outside the 2-qubit register"),
         ({**sample_key_doc(), "records": [{"kind": "gate"}]}, "key record 0: unknown kind 'gate'"),
         (with_duplicate_label(), "key record 1: duplicate block label 'Obf_H_0'"),
+        (with_record(left=[[0.0, BEYOND_PHASE, 0.0]]),
+         r"key record 0: left phase angle beyond 2\*\*24"),
+        (with_boundary(params=[0.0, 0.0, -BEYOND_PHASE]),
+         r"key record \d+: params phase angle beyond 2\*\*24"),
+        ({**sample_key_doc(), "segment_params": [[0.0, 1e17, 0.0]]},
+         r"segment_params phase angle beyond 2\*\*24"),
     ])
     def test_impossible_keys_name_the_record(self, doc, message):
         with pytest.raises(SchemaError, match=message):
             read_key_json(json.dumps(doc))
+
+    def test_key_phase_angle_at_bound(self):
+        key = read_key_json(json.dumps(with_record(left=[[0.1, 2.0 ** 24, -2.0 ** 24]])))
+        assert key.blocks[0].left[0] == U3Params(0.1, 2.0 ** 24, -2.0 ** 24)
+
+    def test_invalid_key_json(self):
+        with pytest.raises(SchemaError, match="invalid JSON"):
+            read_key_json('{"format": ')
 
     def test_integral_numbers_read_as_params(self):
         text = with_instruction({"kind": "gate", "name": "rz", "params": [1], "qubits": [0]})

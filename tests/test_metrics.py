@@ -1,4 +1,6 @@
 """Tests for accuracy/TVD metrics, overhead reports, and timed comparison."""
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,10 +88,19 @@ class TestProperties:
         a, b = counts(da), counts(db)
         assert semantic_accuracy(a, b) == pytest.approx(100.0 * (1.0 - tvd(a, b)))
 
-    def test_unequal_shots_probability_fallback(self):
+    def test_unequal_shots_normalized(self):
         a = counts({"0": 50, "1": 50})
         b = counts({"0": 100, "1": 100})
         assert tvd(a, b) == 0.0
+
+    def test_unequal_shots_exact(self):
+        a = counts({"00": 3, "01": 7, "11": 1})
+        b = counts({"00": 5, "10": 2, "11": 6})
+        exact = sum(
+            abs(Fraction(a.counts.get(k, 0), a.shots) - Fraction(b.counts.get(k, 0), b.shots))
+            for k in ("00", "01", "10", "11")
+        ) / 2
+        assert tvd(a, b) == float(exact) == 7 / 11  # the float form read 0.6363636363636365
 
     def test_empty_rejected(self):
         with pytest.raises(MetricsError):
@@ -154,6 +165,10 @@ class TestTimedCompare:
         assert 0.0 <= rep.semantic_accuracy_percent <= 100.0
         assert rep.original_runtime_seconds > 0.0
         assert rep.original_runtime_min_seconds <= rep.original_runtime_seconds
+
+    def test_zero_runs_rejected(self):
+        with pytest.raises(MetricsError, match="runs must be >= 1"):
+            timed_compare(bell(), bell(), runs=0)
 
     def test_deterministic_given_seed(self):
         c = bell()

@@ -1,6 +1,7 @@
 """Tests for obfuscation modes, keys, deobfuscation, and gate recognition."""
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -172,6 +173,17 @@ class TestStructure:
         with pytest.raises(ObfuscationError, match="global_params only valid in global mode"):
             obfuscate(bell(), mode, seed=0, subset_size=subset_size,
                       global_params=CASE_STUDY_KEY)
+
+
+    def test_phase_angle_bound(self):
+        # a gate and a pinned basis at the bound obfuscate to unitary blocks
+        c = Circuit(1, 1, (StandardGate("u2", (1.0, 2.0 ** 24), (0,)), Measure(0, 0)))
+        pinned = U3Params(0.3, -(2.0 ** 24), 2.0 ** 24)
+        obf = obfuscate(c, ObfuscationMode.GLOBAL, seed=0, global_params=pinned)
+        assert obf.key.segment_params == (pinned,)
+        beyond = U3Params(0.3, 0.0, math.nextafter(2.0 ** 24, math.inf))
+        with pytest.raises(ObfuscationError, match=r"global_params phase angle beyond 2\*\*24"):
+            obfuscate(c, ObfuscationMode.GLOBAL, seed=0, global_params=beyond)
 
 
 class TestValidatedOnce:

@@ -1,5 +1,6 @@
 """Tests for the OpenQASM parser, emitter, and ZYZ recovery."""
 import hashlib
+import math
 import random
 
 import numpy as np
@@ -192,6 +193,44 @@ class TestParseErrors:
         with pytest.raises(ParseError) as exc:
             parse("OPENQASM 2.0;\n" + body)
         assert (exc.value.line, exc.value.column, exc.value.kind) == (line, col, kind)
+
+    @pytest.mark.parametrize(
+        "body, line, col, kind, message",
+        [
+            ("qreg q[1];\nrx(;) q[0];\n", 3, 4, "syntax", "expected expression, got ';'"),
+            ("qreg q[1];\nrx(2*foo) q[0];\n", 3, 6, "syntax",
+             "unknown identifier 'foo' in expression"),
+            ("qreg q[1];\ncreg q[1];\n", 3, 6, "syntax", "register 'q' already declared"),
+            ("qreg q[1];\nh r[0];\n", 3, 3, "syntax", "unknown quantum register 'r'"),
+            ("qreg q[2];\ncreg c[3];\nmeasure q -> c;\n", 4, 9, "arity",
+             "measure broadcast width mismatch"),
+            ("qreg q[1];\ngate h a { x a; }\n", 3, 6, "syntax", "gate 'h' already defined"),
+            ("qreg q[1];\ngate g a { zorp a; }\n", 3, 12, "unknown-gate",
+             "unknown gate 'zorp' in gate body"),
+            ("qreg q[2];\nqreg r[3];\ncx q, r;\n", 4, 1, "arity", "broadcast width mismatch"),
+            ("qreg q[2];\ngate g a { x a; }\ng q[0], q[1];\n", 4, 1, "arity",
+             "gate 'g' argument count mismatch"),
+            ("qreg q[1];\nrx q[0];\n", 3, 1, "arity", "gate 'rx' expects 1 parameter(s)"),
+            ("qreg q[1];\ngate g a { x b; }\ng q[0];\n", 3, 12, "syntax",
+             "unknown qubit argument 'b'"),
+        ],
+    )
+    def test_fault_branches_located(self, body, line, col, kind, message):
+        with pytest.raises(ParseError) as exc:
+            parse("OPENQASM 2.0;\n" + body)
+        assert (exc.value.line, exc.value.column, exc.value.kind) == (line, col, kind)
+        assert exc.value.message == message
+
+    @pytest.mark.parametrize("gate", ["u2(0, {})", "u3(0.1, 2.9, -{})", "u(0.1, {}, 0)"])
+    def test_phase_angle_bound(self, gate):
+        at_bound = f"OPENQASM 2.0;\nqreg q[1];\n{gate.format(repr(2.0 ** 24))} q[0];\n"
+        (instr,) = parse(at_bound).instructions
+        assert 2.0 ** 24 in map(abs, instr.params)
+        beyond = repr(math.nextafter(2.0 ** 24, math.inf))
+        with pytest.raises(ParseError) as exc:
+            parse(f"OPENQASM 2.0;\nqreg q[1];\n{gate.format(beyond)} q[0];\n")
+        assert (exc.value.line, exc.value.column, exc.value.kind) == (3, 1, "value")
+        assert "phase angle beyond 2**24" in exc.value.message
 
     def test_macro_chain_expands_without_recursion(self):
         text = "OPENQASM 2.0;\nqreg q[1];\ngate m0 a { x a; }\n" + "".join(
@@ -417,6 +456,14 @@ class TestEmit:
         from qobf.circuit import to_unitary
 
         assert equal_up_to_global_phase(to_unitary(back), m, 1e-9)
+
+    def test_reset_and_barrier(self):
+        text = ("OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\nh q[0];\nbarrier q[0],q[1];\n"
+                "reset q[1];\nmeasure q[1] -> c[0];\n")
+        c = parse(text)
+        emitted = emit_qasm2(c)
+        assert "barrier q[0],q[1];" in emitted and "reset q[1];" in emitted
+        assert parse(emitted) == c
 
     def test_multi_qubit_opaque_rejected(self):
         from qobf.circuit import Circuit

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qobf.bench import bell
+from qobf.circuit import Circuit
 from qobf.obfuscate import ObfuscationMode, obfuscate
 from qobf.security import (
     audit_circuit,
@@ -104,6 +105,13 @@ class TestAudit:
         obf = obfuscate(bell(), ObfuscationMode.GLOBAL, seed=0)
         rep = audit_circuit(obf)
         assert rep.warning is not None
+
+    def test_empty_circuit(self):
+        obf = obfuscate(Circuit(1, 0, ()), ObfuscationMode.GLOBAL, seed=0)
+        rep = audit_circuit(obf)
+        assert (rep.parameters, rep.success_probability, rep.min_entropy_bits) == (
+            {"n": 0, "x": 0}, 1.0, 0.0)
+        assert rep.warning == "empty circuit"
 
     def test_to_dict(self):
         d = whitebox_profile(4, 2).to_dict()

@@ -248,10 +248,45 @@ class TestRun:
         assert set(counts.counts) <= {"00", "11"}
         assert sum(counts.counts.values()) == 256
 
+    def test_zero_shots_rejected(self):
+        with pytest.raises(ValueError, match="shots must be >= 1"):
+            run(bell(), 0)
+
     def test_no_clbits_gives_empty_key(self):
         c = Circuit(1, 0, (StandardGate("h", (), (0,)),))
         counts = run(c, 16, seed=0)
         assert counts.counts == {"": 16}
+
+
+ROT = (
+    StandardGate("h", (), (0,)), StandardGate("ry", (0.7,), (1,)),
+    StandardGate("cx", (), (0, 2)), StandardGate("rx", (1.1,), (2,)),
+    StandardGate("u3", (0.3, 0.2, 0.9), (3,)), StandardGate("cx", (), (3, 1)),
+)
+
+# Terminal clbit maps that the outcome-code table must spread exactly: one
+# qubit into two clbits, overwritten clbits beside a mid-circuit measure, and
+# 70 clbits (object-dtype codes).
+ODD_CLBIT_MAPS = {
+    "two_clbits": Circuit(4, 3, ROT + (Measure(0, 0), Measure(0, 2), Measure(1, 1))),
+    "overwrite": Circuit(4, 3, ROT[:3] + (Measure(2, 2), Reset(2)) + ROT[3:] + (
+        Measure(0, 0), Measure(1, 0), Measure(3, 1), Measure(2, 1), Measure(3, 2))),
+    "wide": Circuit(4, 70, ROT[:4] + (Measure(1, 65), Reset(1)) + ROT[4:] + (
+        Measure(0, 3), Measure(1, 69), Measure(2, 40), Measure(3, 10))),
+}
+
+
+class TestTerminalFoldPinned:
+    @pytest.mark.parametrize("name, digest", [
+        ("two_clbits", "9d4922b5a623348568c386f4b17fbd2e3a067bee4049fc8fe3c71f7f5741988d"),
+        ("overwrite", "80c67eb6238b2c25836da726026f0eebd50bf90d8e5daaefde2060a3b3d81449"),
+        ("wide", "c740df7141b3bca3c59e015b21a1f3057337a7dc1dbdc6a8cc5542ca80b5e7ca"),
+    ])
+    def test_odd_clbit_maps_pinned(self, name, digest):
+        """Exact probabilities and seeded counts, values and key order."""
+        c = ODD_CLBIT_MAPS[name]
+        text = repr(list(probabilities(c).items())) + repr(list(run(c, 1024, seed=7).counts.items()))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestCounts:

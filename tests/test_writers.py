@@ -1,6 +1,7 @@
 """The artifact writers emit the reference encoder's documents: re-indented, their
 text is the bytes of json.dumps(indent=2)."""
 import json
+import math
 from decimal import Decimal
 
 import numpy as np
@@ -9,9 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from json_reference import reference_write_json, reference_write_key_json, reindent
 
-from qobf.circuit import Barrier, Circuit, Measure, OpaqueUnitary, Reset, StandardGate
+from qobf.circuit import (
+    PHASE_PAIR_GATES,
+    Barrier,
+    Circuit,
+    Measure,
+    OpaqueUnitary,
+    Reset,
+    StandardGate,
+)
 from qobf.jsonio import write_json
-from qobf.linalg import U3Params
+from qobf.linalg import MAX_PHASE, U3Params
 from qobf.obfuscate import (
     BlockRecord,
     BoundaryRecord,
@@ -36,6 +45,11 @@ labels = st.text(max_size=6) | st.sampled_from(['"', "\\", "\x00\x1f\n\t", "é",
                                                  "%s", "Obf_CX_1"])
 
 PARAM_GATES = {"h": 0, "rz": 1, "u2": 2, "u3": 3}
+
+
+def within_phase_bound(v):
+    """A phi or lam that a circuit accepts: one beyond 2**24 folds back below it."""
+    return v if abs(v) <= MAX_PHASE else math.fmod(v, MAX_PHASE)
 
 
 @st.composite
@@ -64,6 +78,8 @@ def circuits(draw, params=numbers) -> Circuit:
             name = draw(st.sampled_from(sorted(PARAM_GATES)))
             values = draw(st.lists(params, min_size=PARAM_GATES[name],
                                    max_size=PARAM_GATES[name]))
+            if name in PHASE_PAIR_GATES:
+                values[-2:] = map(within_phase_bound, values[-2:])
             instrs.append(StandardGate(name, tuple(values), (draw(wires)[0],)))
         elif kind == "unitary":
             k = draw(st.integers(0, min(n, 3)))
@@ -112,8 +128,8 @@ class TestSameBytesAsReference:
     def test_write_key_json(self, key):
         assert reindent(write_key_json(key)) == reference_write_key_json(key)
 
-    # Angles past about 1e15 lose phi + lam to rounding and give gate matrices
-    # that are not unitary, which obfuscate rightly refuses.
+    # Small angles: past 2**24, phi + lam loses enough to rounding to give gate
+    # matrices that are not unitary, and Circuit refuses them.
     @given(circuits(params=st.floats(-10, 10) | st.integers(-3, 3) | st.booleans()),
            st.sampled_from(ObfuscationMode), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=100, deadline=None)
