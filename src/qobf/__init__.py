@@ -29,7 +29,7 @@ from .obfuscate import (
 )
 from .qasm import ParseError, emit_qasm2, parse, zyz_to_u3
 from .jsonio import read_json, write_json
-from .simulate import Counts, probabilities, run
+from .simulate import Counts, prepare, probabilities, run, sample
 from .bench import generate
 from .metrics import ComparisonReport, OverheadReport, overhead, semantic_accuracy, timed_compare, tvd
 from .security import SecurityReport, audit_circuit, blackbox_guess_probability, whitebox_profile
@@ -42,7 +42,7 @@ __all__ = [
     "deobfuscate_block", "obfuscate", "recognize_gate", "sample_basis",
     "ParseError", "emit_qasm2", "parse", "zyz_to_u3",
     "read_json", "write_json",
-    "Counts", "probabilities", "run",
+    "Counts", "prepare", "probabilities", "run", "sample",
     "generate",
     "ComparisonReport", "OverheadReport", "overhead", "semantic_accuracy", "timed_compare", "tvd",
     "SecurityReport", "audit_circuit", "blackbox_guess_probability", "whitebox_profile",

@@ -79,7 +79,20 @@ def _print_security(report):
         print(f"  WARNING: {report.warning}")
 
 
+def _refuse_aliases(paths: dict):
+    """Exit 6 before any write when two of the flag -> path entries name one file."""
+    seen = {}
+    for flag, path in paths.items():
+        if path is not None:
+            first = seen.setdefault(Path(path).resolve(), (flag, path))
+            if first[0] != flag:
+                raise CliFailure(
+                    EXIT_IO, f"{first[0]} {first[1]} and {flag} {path} are the same file"
+                )
+
+
 def cmd_obfuscate(args) -> int:
+    _refuse_aliases({"--in": getattr(args, "in"), "--out": args.out, "--key-out": args.key_out})
     original = load_circuit(getattr(args, "in"))
     mode = ObfuscationMode(args.mode)
     result = obfuscate(original, mode, seed=args.seed, subset_size=args.subset_size)
@@ -122,14 +135,14 @@ def cmd_compare(args) -> int:
     else:
         print(f"semantic accuracy : {report.semantic_accuracy_percent:.2f} %")
         print(f"TVD               : {report.tvd:.4f}")
-        print(
-            f"original time     : mean {report.original_runtime_seconds * 1e3:.3f} ms, "
-            f"min {report.original_runtime_min_seconds * 1e3:.3f} ms"
-        )
-        print(
-            f"obfuscated time   : mean {report.obfuscated_runtime_seconds * 1e3:.3f} ms, "
-            f"min {report.obfuscated_runtime_min_seconds * 1e3:.3f} ms"
-        )
+        for name, mean, low, evolve in (
+            ("original", report.original_runtime_seconds,
+             report.original_runtime_min_seconds, report.original_evolve_seconds),
+            ("obfuscated", report.obfuscated_runtime_seconds,
+             report.obfuscated_runtime_min_seconds, report.obfuscated_evolve_seconds),
+        ):
+            print(f"{name + ' time':<18}: mean {mean * 1e3:.3f} ms, min {low * 1e3:.3f} ms")
+            print(f"{name + ' evolve':<18}: {evolve * 1e3:.3f} ms, once per circuit")
     if report.semantic_accuracy_percent < args.accuracy_floor:
         raise CliFailure(
             EXIT_THRESHOLD,

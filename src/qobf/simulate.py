@@ -1,20 +1,22 @@
 """Deterministic noise-free statevector simulation with shot sampling.
 
-One walker serves both entry points. It follows the circuit's branches
-depth-first from an explicit stack: each measurement or reset before the
-terminal ``Measure``/``Barrier`` suffix splits a branch into its two outcomes,
-and at the suffix each branch folds its joint terminal distribution into the
-result. ``probabilities`` weights branches by probability (exact mode);
-``run`` weights them by shot count, splitting each count binomially at every
-split and drawing the terminal outcomes multinomially (sampling mode). The IR
-has no classical control, so both modes see the same branch distribution. At
-most one pending state per split level is alive at a time, whatever the shot
-count.
+``prepare`` applies a circuit's unitary prefix once; ``sample`` draws counts
+from that root as often as asked; ``run`` does both. One walker serves both
+modes. It follows the branches depth-first from an explicit stack: each
+measurement or reset before the terminal ``Measure``/``Barrier`` suffix splits
+a branch into its two outcomes, and at the suffix each branch folds its joint
+terminal distribution into the result. ``probabilities`` weights branches by
+probability (exact mode); ``sample`` weights them by shot count, splitting
+each count binomially at every split and drawing the terminal outcomes
+multinomially (sampling mode). The IR has no classical control, so both modes
+see the same branch distribution. At most one pending state per split level is
+alive at a time, whatever the shot count; no branch past the first is kept.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -72,15 +74,18 @@ def _bitstring(bits: int, num_clbits: int) -> str:
 def _terminal_fold(measures, num_qubits: int, num_clbits: int):
     """Fold of one branch's terminal measurements into (bitstring, weight) pairs.
 
-    The returned function takes the branch's state, its mid-circuit clbits as
-    an integer, its weight and the sampler. In exact mode (``rng`` is None) the
-    weight is the branch probability and the outcome weights are
-    probabilities; in sampling mode it is the branch's shot count and the
-    outcome weights are multinomial draws.
+    Returns ``fold``, which takes the branch's state, its mid-circuit clbits as
+    an integer, its weight, the sampler and its prebuilt sampling table or
+    None, and ``leaf``, which builds that table: the normalised ``> _CLIP``
+    probabilities, their outcome codes and a bitstring memo. In exact mode
+    (``rng`` is None) the weight is the branch probability and the outcome
+    weights are probabilities; in sampling mode it is the branch's shot count
+    and the outcome weights are multinomial draws.
     """
     last = {mv.clbit: mv.qubit for mv in measures}  # a later measure overwrites
     if not last:
-        return lambda state, base, weight, rng: [(_bitstring(base, num_clbits), weight)]
+        return (lambda state, base, weight, rng, prebuilt:
+                [(_bitstring(base, num_clbits), weight)]), lambda state: None
     # Bit i of the joint distribution's flat index is qubit kept[i]; code[j] is
     # the clbit value that index j writes. Sorted, the codes sort like the
     # bitstrings, and order maps each sorted position back to its index.
@@ -94,61 +99,101 @@ def _terminal_fold(measures, num_qubits: int, num_clbits: int):
     code = code[order]
     untouched = ~sum(1 << cb for cb in last)  # clbits no terminal measure writes
 
-    def fold(state, base, weight, rng):
+    def outcomes(state, weight, cut):
+        """Codes of the outcomes whose weighted probability exceeds ``cut``."""
         p = (np.abs(state) ** 2).reshape((2,) * num_qubits)
         joint = p.sum(axis=other_axes) if other_axes else p
-        values = joint.ravel()[order] * (weight if rng is None else 1.0)
-        keys = np.flatnonzero(values > (_PRUNE if rng is None else _CLIP))
-        out = values[keys]
-        if rng is not None:
-            draws = rng.multinomial(weight, out / out.sum())
-            hit = np.flatnonzero(draws)
-            keys, out = keys[hit], draws[hit]
+        values = joint.ravel()[order] * weight
+        keys = np.flatnonzero(values > cut)
+        return code[keys], values[keys]
+
+    def leaf(state):
+        codes, out = outcomes(state, 1.0, _CLIP)
+        return out / out.sum(), codes, {}  # bitstrings, filled in as they are drawn
+
+    def fold(state, base, weight, rng, prebuilt):
         base &= untouched
-        return [
-            (_bitstring(bits | base, num_clbits), w)
-            for bits, w in zip(code[keys].tolist(), out.tolist())
-        ]
+        if rng is None:
+            codes, out = outcomes(state, weight, _PRUNE)
+            return zip([_bitstring(bits | base, num_clbits) for bits in codes.tolist()],
+                       out.tolist())
+        pvals, codes, names = prebuilt or leaf(state)
+        draws = rng.multinomial(weight, pvals)
+        hit = np.flatnonzero(draws)  # format only the drawn outcomes, once per table
+        name = names.get
+        return zip([name(bits) or names.setdefault(bits, _bitstring(bits | base, num_clbits))
+                    for bits in codes[hit].tolist()], draws[hit].tolist())
 
-    return fold
+    return fold, leaf
 
 
-def _walk(c: Circuit, weight, rng=None) -> dict:
-    """Branch walker shared by ``probabilities`` (exact) and ``run`` (sampling).
+def _advance(state, i: int, instructions, matrices, num_qubits: int, stop: int):
+    """Apply the gates from instruction ``i`` up to the next split or ``stop``."""
+    while i < stop and not isinstance(instructions[i], (Measure, Reset)):
+        if matrices[i] is not None:
+            state = apply_to_tensor(matrices[i], instructions[i].qubits, state, num_qubits)
+        i += 1
+    return state, i
 
-    ``weight`` is 1.0 in exact mode and the shot count in sampling mode, which
-    ``rng`` selects. ``DEFAULT_BRANCH_CAP`` binds in exact mode only.
-    """
-    n = c.num_qubits
-    instructions = c.instructions
+
+@dataclass(frozen=True, eq=False)
+class Prepared:
+    """A circuit evolved once up to ``start``, its first split or ``terminal``
+    (the suffix). ``state`` is that read-only root; ``leaf`` is its sampling
+    table when nothing splits."""
+    circuit: Circuit
+    terminal: int
+    start: int
+    matrices: list
+    masks: dict  # split qubit -> basis states with that qubit set
+    fold: Callable
+    state: np.ndarray
+    leaf: tuple | None
+
+
+def prepare(c: Circuit, max_qubits: int = DEFAULT_MAX_QUBITS) -> Prepared:
+    """Build the circuit's tables and evolve its unitary prefix, once."""
+    _check_caps(c, max_qubits)
+    n, instructions = c.num_qubits, c.instructions
     t = _terminal_start(instructions)
-    fold = _terminal_fold(
+    fold, leaf = _terminal_fold(
         [x for x in instructions[t:] if isinstance(x, Measure)], n, c.num_clbits
     )
     matrices = [
         instruction_matrix(x) if isinstance(x, (StandardGate, OpaqueUnitary)) else None
         for x in instructions[:t]
     ]
-    idx = np.arange(2 ** n)
-    created = [0] * t  # exact mode: branches created per split instruction
-    result: dict = {}
+    masks = {x.qubit: ((np.arange(2 ** n) >> x.qubit) & 1).astype(bool)
+             for x in instructions[:t] if isinstance(x, (Measure, Reset))}
     state = np.zeros(2 ** n, dtype=np.complex128)
     state[0] = 1.0
-    stack = [(state, weight, 0, 0)]
+    state, start = _advance(state, 0, instructions, matrices, n, t)
+    state.flags.writeable = False
+    return Prepared(c, t, start, matrices, masks, fold, state,
+                    leaf(state) if start == t else None)
+
+
+def _walk(p: Prepared, weight, rng=None) -> dict:
+    """Branch walker from the prepared root, which it never writes.
+
+    ``weight`` is 1.0 in exact mode and the shot count in sampling mode, which
+    ``rng`` selects. ``DEFAULT_BRANCH_CAP`` binds in exact mode only.
+    """
+    n, instructions, t = p.circuit.num_qubits, p.circuit.instructions, p.terminal
+    created = [0] * t  # exact mode: branches created per split instruction
+    result: dict = {}
+    stack = [(p.state, weight, 0, p.start)]
     while stack:
         state, weight, base, i = stack.pop()
-        while i < t and not isinstance(instructions[i], (Measure, Reset)):
-            if matrices[i] is not None:
-                state = apply_to_tensor(matrices[i], instructions[i].qubits, state, n)
-            i += 1
+        state, i = _advance(state, i, instructions, p.matrices, n, t)
         if i == t:
-            for key, w in fold(state, base, weight, rng):
+            for key, w in p.fold(state, base, weight, rng, p.leaf):
                 result[key] = result.get(key, 0) + w
             continue
         # a Measure or Reset: split the branch into its two outcomes
         instr = instructions[i]
         i += 1
-        mask = ((idx >> instr.qubit) & 1).astype(bool)
+        mask = p.masks[instr.qubit]
         p1 = float(np.sum(np.abs(state[mask]) ** 2))
         p0 = 1.0 - p1
         if rng is None:
@@ -174,7 +219,7 @@ def _walk(c: Circuit, weight, rng=None) -> dict:
             s1 /= math.sqrt(p1)
             stack.append((s1, w1, base | (1 << instr.clbit) if measured else base, i))
         if w0:
-            state[mask] = 0.0
+            state = np.where(mask, 0.0, state)  # a new array, as the root is read-only
             state /= math.sqrt(p0)
             stack.append((state, w0, base, i))
     return result
@@ -182,12 +227,18 @@ def _walk(c: Circuit, weight, rng=None) -> dict:
 
 def probabilities(c: Circuit, max_qubits: int = DEFAULT_MAX_QUBITS) -> dict[str, float]:
     """Exact outcome distribution over classical bits."""
-    _check_caps(c, max_qubits)
-    result = _walk(c, 1.0)
+    result = _walk(prepare(c, max_qubits), 1.0)
     total = sum(result.values())
     if abs(total - 1.0) > 1e-10:
         raise RuntimeError(f"probabilities sum to {total}, not 1")
     return result
+
+
+def sample(prepared: Prepared, shots: int, seed: int = 0) -> Counts:
+    """Sample measurement counts from a prepared circuit; deterministic per seed."""
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    return Counts(_walk(prepared, shots, np.random.default_rng(seed)), shots)
 
 
 def run(
@@ -197,7 +248,4 @@ def run(
     max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> Counts:
     """Sample measurement counts; deterministic per seed."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    _check_caps(c, max_qubits)
-    return Counts(_walk(c, shots, np.random.default_rng(seed)), shots)
+    return sample(prepare(c, max_qubits), shots, seed)

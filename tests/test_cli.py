@@ -94,6 +94,24 @@ class TestObfuscate:
         # both files or neither: no circuit is left without its key
         assert not (tmp_path / "o.json").exists() and not (tmp_path / "k.json").exists()
 
+    @pytest.mark.parametrize("case", ["out_is_key_out", "key_out_links_to_out", "out_is_in"])
+    def test_aliased_paths_refused_before_any_write(self, tmp_path, bell_qasm, capsys, case):
+        paths = {"--in": bell_qasm, "--out": str(tmp_path / "o.json"),
+                 "--key-out": str(tmp_path / "k.json")}
+        clash = ("--out", "--key-out")
+        if case == "out_is_key_out":
+            paths["--key-out"] = paths["--out"]
+        elif case == "key_out_links_to_out":
+            (tmp_path / "k.json").symlink_to(paths["--out"])
+        else:
+            paths["--out"], clash = bell_qasm, ("--in", "--out")
+        rc = main(["obfuscate", *(a for kv in paths.items() for a in kv)])
+        assert rc == EXIT_IO
+        err = capsys.readouterr().err
+        assert all(f"{flag} {paths[flag]}" in err for flag in clash)
+        assert sorted(p.name for p in tmp_path.iterdir() if p.exists()) == ["bell.qasm"]
+        assert (tmp_path / "bell.qasm").read_text() == BELL_QASM
+
     def test_non_utf8_byte_is_located(self, tmp_path, capsys):
         bad = tmp_path / "bad.qasm"
         bad.write_bytes(b"OPENQASM 2.0;\nqreg q[1];\nh q[0]\xff;\n")
@@ -207,6 +225,18 @@ class TestCompare:
         assert rc == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["semantic_accuracy_percent"] > 90.0
+        for name in ("original", "obfuscated"):
+            assert 0 < doc[f"{name}_evolve_seconds"] <= doc[f"{name}_runtime_min_seconds"]
+
+    def test_text_report_has_an_evolve_line_per_circuit(self, tmp_path, bell_qasm, capsys):
+        obf, _ = obfuscate_bell(tmp_path, bell_qasm)
+        capsys.readouterr()
+        assert main(["compare", bell_qasm, obf, "--shots", "64", "--runs", "3"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        for name in ("original", "obfuscated"):
+            assert any(l.startswith(f"{name} time") and "mean" in l and "min" in l for l in lines)
+            assert any(l.startswith(f"{name} evolve") and l.endswith("once per circuit")
+                       for l in lines)
 
     def test_accuracy_floor_failure(self, tmp_path, bell_qasm, capsys):
         # Compare bell against a deliberately different circuit.
@@ -315,6 +345,9 @@ class TestBench:
         assert rc == EXIT_OK
         rows = json.loads(capsys.readouterr().out)
         assert len(rows) == 10
+        for r in rows:
+            assert 0 < r["original_evolve_seconds"] <= r["original_runtime_seconds"]
+            assert 0 < r["obfuscated_evolve_seconds"] <= r["obfuscated_runtime_seconds"]
         assert {r["circuit"] for r in rows} == {
             "bv", "dj", "grover3", "phase_kickback", "qaoa_maxcut",
             "qft", "shor_mod15_order", "simon", "toffoli", "vqe_ansatz",

@@ -1,12 +1,14 @@
 """Tests for accuracy/TVD metrics, overhead reports, and timed comparison."""
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qobf.bench import bell
-from qobf.circuit import Circuit, Measure, OpaqueUnitary, Reset, StandardGate
+import qobf.simulate
+from qobf.bench import PAPER_SUITE, bell, generate, run_paper_suite
+from qobf.circuit import Circuit, Measure, OpaqueUnitary, Reset, StandardGate, gate_count
 from qobf.metrics import (
     MetricsError,
     overhead,
@@ -177,3 +179,34 @@ class TestTimedCompare:
         b = timed_compare(c, obf.circuit, shots=256, runs=2, seed=5)
         assert a.semantic_accuracy_percent == b.semantic_accuracy_percent
         assert a.tvd == b.tvd
+
+    def test_paper_suite_accuracy_and_tvd_pinned(self):
+        # Taken before timed_compare prepared each circuit once: evolving once
+        # and sampling many times must not move a single accuracy or TVD bit.
+        rows = run_paper_suite(modes=list(ObfuscationMode), runs=5, seed=2)
+        text = repr([
+            (r.name, r.mode, r.report.semantic_accuracy_percent, r.report.tvd) for r in rows
+        ])
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "c9a5ec49da004b69973640438fd31613c9efd7fb61d9d630670f45b21238a29e"
+        )
+
+    def test_each_circuit_is_evolved_once(self, monkeypatch):
+        # A structural guard, not a timing test: 20 runs of a split-free row
+        # apply each gate of each circuit once, not once per run.
+        calls = []
+        apply = qobf.simulate.apply_to_tensor
+        monkeypatch.setattr(qobf.simulate, "apply_to_tensor",
+                            lambda *args: calls.append(1) or apply(*args))
+        spec = next(s for s in PAPER_SUITE if s.name == "qaoa_maxcut")
+        c = generate(spec.name, **spec.params)
+        obf = obfuscate(c, ObfuscationMode.CHAINED, seed=4).circuit
+        rep = timed_compare(c, obf, shots=256, runs=20, seed=0)
+        assert len(calls) == gate_count(c) + gate_count(obf)
+        for evolve, low, mean in (
+            (rep.original_evolve_seconds, rep.original_runtime_min_seconds,
+             rep.original_runtime_seconds),
+            (rep.obfuscated_evolve_seconds, rep.obfuscated_runtime_min_seconds,
+             rep.obfuscated_runtime_seconds),
+        ):
+            assert 0.0 < evolve <= low <= mean

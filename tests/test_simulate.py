@@ -9,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qobf.bench import PAPER_SUITE, generate
-from qobf.circuit import Circuit, Measure, Reset, StandardGate
+from qobf.circuit import Circuit, Measure, Reset, StandardGate, gate_count
 from qobf.obfuscate import ObfuscationMode, obfuscate
 from qobf.simulate import (
     Counts,
     SimulationCapError,
+    prepare,
     probabilities,
     run,
+    sample,
 )
 
 
@@ -287,6 +289,59 @@ class TestTerminalFoldPinned:
         c = ODD_CLBIT_MAPS[name]
         text = repr(list(probabilities(c).items())) + repr(list(run(c, 1024, seed=7).counts.items()))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# A mid-circuit measure and two resets: the walk splits three times.
+TWO_RESETS = Circuit(4, 3, ROT[:3] + (Measure(0, 0), Reset(0)) + ROT[3:5] + (
+    Reset(2), StandardGate("h", (), (0,)), StandardGate("cx", (), (0, 2)),
+    Measure(0, 0), Measure(1, 1), Measure(2, 2)))
+
+
+def identity_cases():
+    """Every paper-suite row in each mode, the odd clbit maps and a
+    mid-circuit circuit with two resets."""
+    for spec in PAPER_SUITE:
+        original = generate(spec.name, **spec.params)
+        for mode in ObfuscationMode:
+            subset = gate_count(original) // 2 if mode is ObfuscationMode.SUBSET else None
+            yield f"{spec.name}/{mode.value}", obfuscate(
+                original, mode, seed=3, subset_size=subset).circuit
+    yield from ODD_CLBIT_MAPS.items()
+    yield "two_resets", TWO_RESETS
+
+
+class TestPrepareSample:
+    @pytest.mark.parametrize("c", [pytest.param(c, id=name) for name, c in identity_cases()])
+    def test_sample_of_prepared_equals_run(self, c):
+        """Values and key order, for two seeds drawn from one prepared circuit."""
+        prepared = prepare(c)
+        for seed in (0, 11):
+            got = sample(prepared, 1024, seed=seed).counts
+            assert list(got.items()) == list(run(c, 1024, seed=seed).counts.items())
+
+    def test_repeated_samples_leave_the_root_as_prepared(self):
+        exact = list(probabilities(TWO_RESETS).items())
+        prepared = prepare(TWO_RESETS)
+        assert prepared.start < prepared.terminal and prepared.leaf is None
+        first = sample(prepared, 4096, seed=5)
+        assert sample(prepared, 4096, seed=5) == first
+        assert np.array_equal(prepared.state, prepare(TWO_RESETS).state)
+        assert not prepared.state.flags.writeable
+        assert list(probabilities(TWO_RESETS).items()) == exact
+
+    def test_unsplit_circuit_keeps_its_leaf_table(self):
+        prepared = prepare(bell())
+        assert prepared.start == prepared.terminal
+        pvals, codes, names = prepared.leaf
+        assert codes.tolist() == [0, 3] and pvals.sum() == pytest.approx(1.0)
+        sample(prepared, 64, seed=0)
+        assert names == {0: "00", 3: "11"}
+
+    def test_prepare_checks_the_cap_and_sample_the_shots(self):
+        with pytest.raises(SimulationCapError):
+            prepare(Circuit(15, 0, ()))
+        with pytest.raises(ValueError, match="shots must be >= 1"):
+            sample(prepare(bell()), 0)
 
 
 class TestCounts:
